@@ -8,18 +8,23 @@ GO ?= go
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags "-X eccspec/internal/version.version=$(VERSION)"
 
-.PHONY: verify build test race vet bench bench-snapshot staticcheck chaos fuzz-smoke cluster-smoke cluster-chaos load-smoke all
+.PHONY: verify build test bench-checks race vet bench bench-snapshot staticcheck chaos fuzz-smoke cluster-smoke cluster-chaos load-smoke all
 
 all: verify
 
-# Tier-1: the whole tree builds and every test passes.
-verify: build test
+# Tier-1: the whole tree builds and every test passes, the benchmark's
+# own checks included (eccbench is a module of its own, so the root
+# `go test ./...` does not reach it).
+verify: build test bench-checks
 
 build:
 	$(GO) build $(LDFLAGS) ./...
 
 test:
 	$(GO) test ./...
+
+bench-checks:
+	cd eccbench && $(GO) test ./...
 
 # The concurrent packages under the race detector, plus the run loop
 # they are built on (root Simulator and internal/engine).

@@ -114,10 +114,12 @@ type Simulator struct {
 	ctl  *control.System
 }
 
-// NewSimulator builds a chip and its control system and assigns the
-// configured workload to every core. The rails start at nominal; call
-// Calibrate and then Run to engage speculation. An unrecognized
-// Options.Workload returns an error wrapping ErrUnknownWorkload.
+// NewSimulator builds a chip and its control system, assigns the
+// configured workload to every core and characterizes the specimen
+// (chip.Chip.Characterize), so neither Calibrate nor the first Step
+// pays for it. The rails start at nominal; call Calibrate and then Run
+// to engage speculation. An unrecognized Options.Workload returns an
+// error wrapping ErrUnknownWorkload.
 func NewSimulator(o Options) (*Simulator, error) {
 	name := o.Workload
 	if name == "" {
@@ -151,6 +153,7 @@ func NewSimulator(o Options) (*Simulator, error) {
 	for _, co := range c.Cores {
 		co.SetWorkload(p, o.Seed)
 	}
+	c.Characterize()
 	o.Workload = name  // record the resolved names for Opts/checkpoints
 	o.Policy = polName //
 	return &Simulator{

@@ -85,9 +85,12 @@ type line struct {
 // Cache is one set-associative, ECC-protected cache backed by a faulty
 // SRAM array.
 type Cache struct {
-	cfg   Config
-	core  int
-	arr   *sram.Array
+	cfg  Config
+	core int
+	arr  *sram.Array
+	// lines is allocated on first access: a large cache that nothing
+	// reads (the shared L3 of a chip without uncore speculation) costs
+	// no storage, and an untouched line is the zero line either way.
 	lines []line
 	clock uint64
 	stats Stats
@@ -110,10 +113,9 @@ func New(cfg Config, core int, m *variation.Model) *Cache {
 		arrCore = 0x1000 + int(cfg.Kind)
 	}
 	return &Cache{
-		cfg:   cfg,
-		core:  core,
-		arr:   sram.NewArray(m, arrCore, cfg.Kind, cfg.Sets, cfg.Ways),
-		lines: make([]line, cfg.Sets*cfg.Ways),
+		cfg:  cfg,
+		core: core,
+		arr:  sram.NewArray(m, arrCore, cfg.Kind, cfg.Sets, cfg.Ways),
 	}
 }
 
@@ -142,6 +144,9 @@ func (c *Cache) tagOf(addr uint64) uint64 {
 
 // lineAt returns the line storage at (set, way).
 func (c *Cache) lineAt(set, way int) *line {
+	if c.lines == nil {
+		c.lines = make([]line, c.cfg.Sets*c.cfg.Ways)
+	}
 	return &c.lines[set*c.cfg.Ways+way]
 }
 
@@ -345,6 +350,23 @@ func (c *Cache) ProbeLine(set, way int, v float64) ReadResult {
 	}
 	c.events = res.Events
 	return res
+}
+
+// SkipQuietReads stands in for n ReadLine calls on line (set, way) at
+// voltage v when the line is provably quiet there (sram.Array.Quiet):
+// each such read is clean, raises no event, draws nothing from the
+// fault stream and leaves the counters alone, so only the LRU clock and
+// the line's last use advance, exactly as the n reads would advance
+// them. It reports false, changing nothing, when the line could flip.
+func (c *Cache) SkipQuietReads(set, way int, v float64, n int) bool {
+	if !c.arr.Quiet(set, way, v) {
+		return false
+	}
+	if n > 0 {
+		c.clock += uint64(n)
+		c.lineAt(set, way).lastUse = c.clock
+	}
+	return true
 }
 
 // Access performs an address-based read access at voltage v. On a hit the

@@ -517,6 +517,25 @@ func (co *Core) kernelTable(kind variation.Kind, floor float64) *kernel.Table {
 	return t
 }
 
+// Characterize builds, for every core, the weak-cell profiles, batch-
+// kernel tables and workload footprints of the structures Step samples
+// (L2D, L2I and the register file), which a first Step would otherwise
+// build. Call it once workloads are assigned, so a specimen's whole
+// characterization is charged to its build; the L1s and the L3, which
+// only experiments read, stay lazy. Cached work is not redone.
+func (c *Chip) Characterize() {
+	floor := c.SensitivityFloor()
+	for _, co := range c.Cores {
+		for _, kind := range [...]variation.Kind{variation.KindL2D, variation.KindL2I} {
+			t := co.kernelTable(kind, floor)
+			if co.wl != nil {
+				t.EnsureFootprint(co.wl)
+			}
+		}
+		co.kernelTable(variation.KindRegFile, floor)
+	}
+}
+
 // arrayOf maps a structure kind to the core's SRAM array.
 func (co *Core) arrayOf(kind variation.Kind) *sram.Array {
 	switch kind {

@@ -189,13 +189,16 @@ func (c *Chip) RestoreState(st State) error {
 			}
 			co.wl.RestoreState(cs.WorkloadElapsed, cs.WorkloadNoise)
 		}
-		restoreArray(co.Hier.L2D.Array(), cs.L2D)
-		restoreArray(co.Hier.L2I.Array(), cs.L2I)
-		restoreArray(co.Hier.L1D.Array(), cs.L1D)
-		restoreArray(co.Hier.L1I.Array(), cs.L1I)
-		restoreArray(co.RegFile, cs.RegFile)
-		// Aged profiles invalidate the cached sensitive-line lists.
-		co.InvalidateSensitivity()
+		aged := restoreArray(co.Hier.L2D.Array(), cs.L2D)
+		aged = restoreArray(co.Hier.L2I.Array(), cs.L2I) || aged
+		aged = restoreArray(co.Hier.L1D.Array(), cs.L1D) || aged
+		aged = restoreArray(co.Hier.L1I.Array(), cs.L1I) || aged
+		aged = restoreArray(co.RegFile, cs.RegFile) || aged
+		// Re-aged profiles invalidate the cached sensitive-line lists;
+		// at an unchanged age they, and the tables built on them, hold.
+		if aged {
+			co.InvalidateSensitivity()
+		}
 	}
 	for i, d := range c.Domains {
 		d.Rail.SetTarget(st.Domains[i].Rail.TargetV)
@@ -213,8 +216,12 @@ func captureArray(a *sram.Array) ArrayState {
 	return ArrayState{Stream: a.StreamState(), AgeHours: a.Age(), TempC: a.Temperature()}
 }
 
-func restoreArray(a *sram.Array, st ArrayState) {
+// restoreArray overlays an array's state and reports whether its age
+// changed.
+func restoreArray(a *sram.Array, st ArrayState) (aged bool) {
+	aged = a.Age() != st.AgeHours
 	a.SetAge(st.AgeHours)
 	a.SetTemperature(st.TempC)
 	a.SetStreamState(st.Stream)
+	return aged
 }

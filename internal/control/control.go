@@ -34,6 +34,7 @@ import (
 
 	"eccspec/internal/cache"
 	"eccspec/internal/chip"
+	"eccspec/internal/ecc"
 	"eccspec/internal/monitor"
 	"eccspec/internal/pdn"
 	"eccspec/internal/policy"
@@ -332,19 +333,26 @@ func (s *System) Assignment(domain int) (Assignment, bool) {
 
 // sweepCache performs one calibration pass over a cache at probe voltage
 // v: write a pattern and read each line back CalibReadsPerLine times,
-// stopping at the first line that reports a correctable error.
+// stopping at the first line that reports a correctable error. A line
+// that provably cannot flip at v has its reads stand in by
+// cache.SkipQuietReads, which leaves the cache and the fault stream
+// exactly as the reads would; at the sweep's early steps that is nearly
+// every line.
 func (s *System) sweepCache(c *cache.Cache, v float64) (set, way int, found bool) {
 	cfg := c.Config()
-	var data [sram.WordsPerLine]uint64
-	for i := range data {
-		data[i] = 0x5555555555555555
+	var img [sram.WordsPerLine]ecc.Codeword
+	for i := range img {
+		img[i] = ecc.Encode(0x5555555555555555)
 	}
 	for set := 0; set < cfg.Sets; set++ {
 		for way := 0; way < cfg.Ways; way++ {
 			if c.LineDisabled(set, way) {
 				continue
 			}
-			c.WriteLine(set, way, data)
+			c.WriteLineEncoded(set, way, &img)
+			if c.SkipQuietReads(set, way, v, s.Cfg.CalibReadsPerLine) {
+				continue
+			}
 			for r := 0; r < s.Cfg.CalibReadsPerLine; r++ {
 				res := c.ReadLine(set, way, v)
 				if len(res.Events) > 0 {

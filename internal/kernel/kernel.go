@@ -6,10 +6,9 @@
 // operating voltages all but a handful of lines have flip probabilities
 // that are zero to double precision. A Table flattens one array's
 // sensitive-line profiles into sorted columns (line onset voltages,
-// per-bit critical voltages/widths/word indices) plus precomputed
-// conservative "certainly clean" thresholds, so a whole array's tick
-// can be sampled with one comparison per line and exact probability
-// math only for the few lines that can actually flip.
+// per-line and per-bit conservative "certainly clean" thresholds), so
+// a whole array's tick can be sampled with one comparison per line and
+// exact probability math only for the few lines that can actually flip.
 //
 // Two kernels operate on a Table:
 //
@@ -31,7 +30,6 @@ package kernel
 
 import (
 	"math"
-	"sort"
 
 	"eccspec/internal/rng"
 	"eccspec/internal/sram"
@@ -39,13 +37,6 @@ import (
 	"eccspec/internal/variation"
 	"eccspec/internal/workload"
 )
-
-// safetyMarginV widens the conservative per-bit "certainly clean"
-// threshold so float rounding in the one-comparison guard can never
-// disagree with the exact (vcrit-v)/width < -8 test inside
-// variation.FlipProbability: the guard may only ever skip cells whose
-// exact flip probability is zero.
-const safetyMarginV = 1e-9
 
 // Line is one sensitive line handed to Build, in the same descending-
 // onset-voltage order the chip's sensitive-line lists use.
@@ -89,22 +80,23 @@ type Table struct {
 	set   []int32
 	way   []int32
 	vmax  []float64 // Profile.Vmax per line
-	vsafe []float64 // max over the line's cells of vcrit + 8*width + margin
+	vsafe []float64 // Profile.CleanAbove per line
 	start []int32   // bit-column range per line; len(start) == lines+1
+	// prof holds each line's profile, whose cells (descending Vcrit)
+	// the exact probability math reads. Only the few live lines of a
+	// tick get that far, so the cells are not copied into columns.
+	prof []*sram.Profile
 
-	// Per-bit columns, flattened in per-line profile order (descending
-	// Vcrit within each line).
-	vcrit []float64
-	width []float64
-	word  []int8
-	// safeOrd/safeV hold each line's bit indices re-sorted by descending
-	// "certainly clean" threshold (vcrit + 8*width + margin). At any
+	// Per-bit columns, flattened line by line. safeOrd/safeV hold each
+	// line's cell indices (into its profile) re-sorted by descending
+	// "certainly clean" threshold (WeakBit.CleanAbove). At any
 	// operating voltage the cells that can flip are exactly a prefix of
 	// this order, so the per-bit threshold test becomes a prefix scan
-	// with an early break instead of a walk over the whole profile.
-	safeOrd []int32
+	// with an early break instead of a walk over the whole profile. A
+	// line has sram.BitsPerLine cells, so a uint16 index suffices.
+	safeOrd []uint16
 	safeV   []float64
-	cand    []int32 // lineProbabilities scratch: live bits of one line
+	cand    []uint16 // lineProbabilities scratch: live cells of one line
 
 	// exercised caches the workload footprint mask; wl identifies the
 	// workload instance it was built for. fpIdx is the mask compacted
@@ -123,70 +115,64 @@ type Table struct {
 }
 
 // Build flattens the given sensitive lines (descending onset voltage)
-// into a Table over the array.
+// into a Table over the array. Every column is sized exactly up front.
 func Build(arr *sram.Array, kind variation.Kind, lines []Line) *Table {
-	t := &Table{
-		arr:   arr,
-		kind:  kind,
-		set:   make([]int32, 0, len(lines)),
-		way:   make([]int32, 0, len(lines)),
-		vmax:  make([]float64, 0, len(lines)),
-		vsafe: make([]float64, 0, len(lines)),
-		start: make([]int32, 1, len(lines)+1),
-	}
-	maxBits := 0
-	var bitSafe []float64
+	bits, maxBits := 0, 0
 	for _, ln := range lines {
-		t.set = append(t.set, int32(ln.Set))
-		t.way = append(t.way, int32(ln.Way))
-		t.vmax = append(t.vmax, ln.Profile.Vmax())
-		lineSafe := 0.0
-		for _, b := range ln.Profile.Bits {
-			safe := b.Vcrit + 8*b.Width + safetyMarginV
-			t.vcrit = append(t.vcrit, b.Vcrit)
-			t.width = append(t.width, b.Width)
-			t.word = append(t.word, int8(b.Word()))
-			bitSafe = append(bitSafe, safe)
-			if safe > lineSafe {
-				lineSafe = safe
-			}
-		}
-		t.vsafe = append(t.vsafe, lineSafe)
-		t.start = append(t.start, int32(len(t.vcrit)))
-		if n := len(ln.Profile.Bits); n > maxBits {
+		n := len(ln.Profile.Bits)
+		bits += n
+		if n > maxBits {
 			maxBits = n
 		}
 	}
-	t.safeOrd = make([]int32, len(bitSafe))
-	t.safeV = make([]float64, len(bitSafe))
-	t.cand = make([]int32, 0, maxBits)
-	t.allIdx = make([]int32, len(lines))
-	for i := range t.allIdx {
-		t.allIdx[i] = int32(i)
+	t := &Table{
+		arr:     arr,
+		kind:    kind,
+		set:     make([]int32, len(lines)),
+		way:     make([]int32, len(lines)),
+		vmax:    make([]float64, len(lines)),
+		vsafe:   make([]float64, len(lines)),
+		start:   make([]int32, len(lines)+1),
+		prof:    make([]*sram.Profile, len(lines)),
+		safeOrd: make([]uint16, bits),
+		safeV:   make([]float64, bits),
+		cand:    make([]uint16, 0, maxBits),
+		allIdx:  make([]int32, len(lines)),
 	}
-	for i := range lines {
-		lo, hi := int(t.start[i]), int(t.start[i+1])
-		for j := lo; j < hi; j++ {
-			t.safeOrd[j] = int32(j)
+	j := 0
+	for i, ln := range lines {
+		t.set[i] = int32(ln.Set)
+		t.way[i] = int32(ln.Way)
+		t.vmax[i] = ln.Profile.Vmax()
+		t.vsafe[i] = ln.Profile.CleanAbove()
+		t.prof[i] = ln.Profile
+		t.allIdx[i] = int32(i)
+		lo := j
+		for k, b := range ln.Profile.Bits {
+			t.safeOrd[j] = uint16(k)
+			t.safeV[j] = b.CleanAbove()
+			j++
 		}
-		ord := t.safeOrd[lo:hi]
-		sort.Sort(&bySafeDesc{ord: ord, safe: bitSafe})
-		for k, j := range ord {
-			t.safeV[lo+k] = bitSafe[j]
-		}
+		t.start[i+1] = int32(j)
+		sortSafeDesc(t.safeOrd[lo:j], t.safeV[lo:j])
 	}
 	return t
 }
 
-// bySafeDesc orders a line's bit indices by descending clean threshold.
-type bySafeDesc struct {
-	ord  []int32
-	safe []float64
+// sortSafeDesc orders a line's bit indices by descending clean
+// threshold, permuting the thresholds alongside. Lines hold a handful
+// of bits, so an insertion sort suffices. How ties are ordered cannot
+// matter: lineProbabilities takes the prefix of thresholds at or above
+// the voltage, which is the same set of bits in any tie order, and
+// re-sorts it by index.
+func sortSafeDesc(ord []uint16, safe []float64) {
+	for i := 1; i < len(ord); i++ {
+		for j := i; j > 0 && safe[j] > safe[j-1]; j-- {
+			ord[j], ord[j-1] = ord[j-1], ord[j]
+			safe[j], safe[j-1] = safe[j-1], safe[j]
+		}
+	}
 }
-
-func (s *bySafeDesc) Len() int           { return len(s.ord) }
-func (s *bySafeDesc) Less(i, j int) bool { return s.safe[s.ord[i]] > s.safe[s.ord[j]] }
-func (s *bySafeDesc) Swap(i, j int)      { s.ord[i], s.ord[j] = s.ord[j], s.ord[i] }
 
 // Lines returns the number of sensitive lines in the table.
 func (t *Table) Lines() int { return len(t.vmax) }
@@ -283,7 +269,7 @@ func (t *Table) lineProbabilities(i int, vEff float64, first, second *[sram.Word
 	// accumulation below replays the scalar loop's float operations
 	// exactly. The prefix is tiny, so insertion sort suffices, and the
 	// standard two-profiled-cells-per-word line fits in stack scratch.
-	var candBuf [2 * sram.WordsPerLine]int32
+	var candBuf [2 * sram.WordsPerLine]uint16
 	lo, hi := t.start[i], t.start[i+1]
 	cand := candBuf[:0]
 	if int(hi-lo) > len(candBuf) {
@@ -312,17 +298,19 @@ func (t *Table) lineProbabilities(i int, vEff float64, first, second *[sram.Word
 	// out by the occupancy bits. WordsPerLine is 8, so a byte suffices.
 	anyClean := 1.0
 	var haveFirst, haveSecond uint8
-	for _, j := range cand {
+	bits := t.prof[i].Bits
+	for _, k := range cand {
+		b := &bits[k]
 		// variation.FlipProbability, manually inlined (the call sits on
 		// the hot path's dominant loop and is too branchy for the
 		// compiler to inline): bit-for-bit the same arithmetic.
 		var pf float64
-		if w := t.width[j]; w <= 0 {
-			if vEff < t.vcrit[j] {
+		if w := b.Width; w <= 0 {
+			if vEff < b.Vcrit {
 				pf = 1
 			}
 		} else {
-			x := (t.vcrit[j] - vEff) / w
+			x := (b.Vcrit - vEff) / w
 			switch {
 			case x > 8:
 				pf = 1
@@ -336,7 +324,7 @@ func (t *Table) lineProbabilities(i int, vEff float64, first, second *[sram.Word
 			continue
 		}
 		anyClean *= 1 - pf
-		w := t.word[j]
+		w := b.Word()
 		if haveFirst&(1<<w) == 0 {
 			haveFirst |= 1 << w
 			first[w] = pf

@@ -14,6 +14,8 @@
 //   - Hash: a stateless SplitMix64-style mixing function over a key tuple.
 //     Use it when the identity of the draw is naturally a coordinate
 //     (e.g. "bit 13 of way 2 of set 77 of the L2D on core 3").
+//     Extend folds one more key into a cached Hash prefix, so a loop
+//     over many coordinates sharing a prefix pays one mix per draw.
 //   - Stream: a cheap sequential generator seeded from a Hash, for code
 //     that needs many draws in a row (e.g. a workload's arrival process).
 package rng
@@ -43,6 +45,15 @@ func Hash(seed uint64, key ...uint64) uint64 {
 	}
 	return h
 }
+
+// KeyMix returns the per-key term Hash folds in for key k. Hot loops
+// that extend one cached prefix with many keys (every cell of an SRAM
+// line) can tabulate it once and pay one mix64 per key in Extend.
+func KeyMix(k uint64) uint64 { return mix64(k + golden) }
+
+// Extend folds one more key into a Hash value, given the key's KeyMix:
+// Extend(Hash(seed, a...), KeyMix(b)) == Hash(seed, a..., b).
+func Extend(h, keyMix uint64) uint64 { return mix64(h ^ keyMix) }
 
 // Uniform converts a hash value to a float64 uniformly distributed in
 // [0, 1). It uses the top 53 bits, so every representable value is an

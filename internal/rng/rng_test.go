@@ -44,6 +44,14 @@ func TestHashOrderSensitivity(t *testing.T) {
 	}
 }
 
+func TestExtendMatchesHash(t *testing.T) {
+	for k := uint64(0); k < 600; k++ {
+		if got, want := Extend(Hash(9, 3, 1, 4), KeyMix(k)), Hash(9, 3, 1, 4, k); got != want {
+			t.Fatalf("key %d: Extend gives %x, Hash %x", k, got, want)
+		}
+	}
+}
+
 func TestUniformRange(t *testing.T) {
 	for i := uint64(0); i < 100000; i++ {
 		u := UniformAt(3, i)

@@ -11,9 +11,9 @@
 // access/error counters and active weak-line targets, controller
 // per-domain assignments, workload positions, RNG stream positions,
 // trace buffers, and the aggregate power/energy integrals. Restore
-// rebuilds the specimen from the options (cheap — no calibration sweep
-// runs) and overlays the mutable state, after which continuing the run
-// is byte-identical to never having stopped.
+// rebuilds and characterizes the specimen from the options (no
+// calibration sweep runs) and overlays the mutable state, after which
+// continuing the run is byte-identical to never having stopped.
 //
 // Blobs carry a format-version header and a CRC32 integrity check (see
 // blob.go); corrupt or truncated blobs produce clean errors, never
@@ -174,6 +174,9 @@ func Restore(st *State) (*eccspec.Simulator, error) {
 	if err := sim.Chip().RestoreState(st.Chip); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
+	// A captured age rebuilds the profiles NewSimulator characterized;
+	// redo it here rather than on the first restored Step.
+	sim.Chip().Characterize()
 	if err := sim.Control().RestoreState(st.Control); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}

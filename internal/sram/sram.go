@@ -16,11 +16,19 @@
 //
 // Enumerating 576 cells per read would be wasteful: at operating voltages
 // all but the weakest few cells have flip probabilities that are zero to
-// double precision. Each line therefore carries a lazily-computed profile
-// of its weakest cells — the top two per codeword — which exactly
-// captures both single-bit (correctable) behaviour, governed by the
-// line's weakest cell, and double-bit (uncorrectable) behaviour, governed
-// by the strongest *pair* within one codeword.
+// double precision. Each line therefore carries a profile of its weakest
+// cells — the top two per codeword — which exactly captures both
+// single-bit (correctable) behaviour, governed by the line's weakest
+// cell, and double-bit (uncorrectable) behaviour, governed by the
+// strongest *pair* within one codeword.
+//
+// A profile is computed once per line and age epoch, on first use; the
+// chip characterizes the arrays its closed loop samples eagerly, at
+// specimen build. The scan ranks cells by their raw variation hash and
+// evaluates the inverse normal CDF only for the few cells that can be
+// among a word's top two (see scanLineRanked), which reproduces the
+// full per-cell scan bit for bit. Aged arrays keep the full scan, since
+// per-cell aging drift breaks the hash-to-Vcrit order.
 package sram
 
 import (
@@ -57,6 +65,18 @@ type WeakBit struct {
 	Width float64
 }
 
+// CleanMarginV widens the "certainly clean" threshold of a cell
+// (CleanAbove) so float rounding in a one-comparison guard can never
+// disagree with the exact (vcrit-v)/width < -8 test inside
+// variation.FlipProbability: the guard may only ever skip cells whose
+// exact flip probability is zero.
+const CleanMarginV = 1e-9
+
+// CleanAbove returns the effective voltage above which the cell's flip
+// probability is exactly zero: more than 8 ramp widths, plus
+// CleanMarginV, above its critical voltage.
+func (b WeakBit) CleanAbove() float64 { return b.Vcrit + 8*b.Width + CleanMarginV }
+
 // Word returns the codeword index (0..7) containing the bit.
 func (b WeakBit) Word() int { return b.Pos / ecc.CodewordBits }
 
@@ -67,6 +87,10 @@ func (b WeakBit) CodewordPos() int { return b.Pos % ecc.CodewordBits }
 // Vcrit (weakest cell first).
 type Profile struct {
 	Bits []WeakBit
+	// clean caches CleanAbove for Array.Quiet, which the calibration
+	// sweep asks of every line at every step; set when the array
+	// scans the line.
+	clean float64
 }
 
 // Vmax returns the line's highest critical voltage — the voltage at which
@@ -77,6 +101,19 @@ func (p *Profile) Vmax() float64 {
 		return 0
 	}
 	return p.Bits[0].Vcrit
+}
+
+// CleanAbove returns the highest CleanAbove of the profile's cells: a
+// read of the line at any effective voltage above it flips nothing.
+// Returns 0 for an empty profile.
+func (p *Profile) CleanAbove() float64 {
+	clean := 0.0
+	for _, b := range p.Bits {
+		if c := b.CleanAbove(); c > clean {
+			clean = c
+		}
+	}
+	return clean
 }
 
 // PairVcrit returns, over all codewords of the line, the best double-flip
@@ -118,12 +155,22 @@ type Array struct {
 	// profiles lazily because aging is per-cell.
 	ageHours float64
 
-	profiles map[int]*Profile
-	// lastKey/lastProf short-circuit the profile map lookup for the
-	// most recently profiled line — the monitor reads its watched line
-	// dozens of times per tick. Cleared by SetAge with the map.
+	// base is the Vcrit every cell shares: the structure's mean plus
+	// its systematic offsets.
+	base float64
+	// profiles is indexed by lineKey; nil entries are not yet scanned.
+	// Allocated on first use, so arrays nobody profiles (most L1s and
+	// the L3) cost nothing; dropped by SetAge.
+	profiles []*Profile
+	// lastKey/lastProf short-circuit the profile lookup for the most
+	// recently profiled line — the monitor reads its watched line
+	// dozens of times per tick. Cleared by SetAge with the profiles.
 	lastKey  int
 	lastProf *Profile
+	// profSlab/bitSlab are the unused tails of the blocks new profiles
+	// are carved from; see newProfile.
+	profSlab []Profile
+	bitSlab  []WeakBit
 	stream   *rng.Stream
 
 	// flips is SampleFlips' scratch, reused so steady-state fault
@@ -141,7 +188,7 @@ type Array struct {
 // each line several times per step, so the erf evaluations behind the
 // probabilities are recomputed only when the line, the voltage, or the
 // temperature actually changes. The profile pointer doubles as the age
-// invalidation: SetAge rebuilds the profile map, so a stale entry can
+// invalidation: SetAge drops the cached profiles, so a stale entry can
 // never match.
 type flipMemo struct {
 	profile *Profile
@@ -157,14 +204,14 @@ func NewArray(m *variation.Model, core int, kind variation.Kind, sets, ways int)
 		panic("sram: non-positive geometry")
 	}
 	return &Array{
-		Model:    m,
-		Core:     core,
-		Kind:     kind,
-		Sets:     sets,
-		Ways:     ways,
-		tempC:    40,
-		profiles: make(map[int]*Profile),
-		stream:   rng.NewStream(m.Seed, 0x5a17, uint64(core), uint64(kind)),
+		Model:  m,
+		Core:   core,
+		Kind:   kind,
+		Sets:   sets,
+		Ways:   ways,
+		tempC:  40,
+		base:   m.P.Kinds[kind].Mu + m.Systematic(core, kind),
+		stream: rng.NewStream(m.Seed, 0x5a17, uint64(core), uint64(kind)),
 	}
 }
 
@@ -182,7 +229,7 @@ func (a *Array) Temperature() float64 { return a.tempC }
 func (a *Array) SetAge(hours float64) {
 	if hours != a.ageHours {
 		a.ageHours = hours
-		a.profiles = make(map[int]*Profile)
+		a.profiles = nil
 		a.lastProf = nil
 	}
 }
@@ -203,56 +250,81 @@ func (a *Array) SetStreamState(state uint64) { a.stream.SetState(state) }
 func (a *Array) lineKey(set, way int) int { return set*a.Ways + way }
 
 // LineProfile returns the weak-cell profile of a line, computing and
-// caching it on first use. The scan is the expensive step (576 Gaussian
-// draws), so sweeping a whole L2 is O(millions) of draws but each line is
-// only ever scanned once per age epoch.
+// caching it on first use. Each line is scanned once per age epoch.
 func (a *Array) LineProfile(set, way int) *Profile {
 	a.checkCoords(set, way)
 	key := a.lineKey(set, way)
 	if a.lastProf != nil && a.lastKey == key {
 		return a.lastProf
 	}
-	p, ok := a.profiles[key]
-	if !ok {
-		p = a.scanLine(set, way)
+	if a.profiles == nil {
+		a.profiles = make([]*Profile, a.Lines())
+	}
+	p := a.profiles[key]
+	if p == nil {
+		if a.ageHours > 0 {
+			p = a.scanLine(set, way)
+		} else {
+			p = a.scanLineRanked(set, way)
+		}
+		p.clean = p.CleanAbove()
 		a.profiles[key] = p
 	}
 	a.lastKey, a.lastProf = key, p
 	return p
 }
 
-// scanLine evaluates every cell of a line and keeps the top
-// weakBitsPerWord cells of each codeword. The systematic offset is
-// hoisted out of the loop and sigmoid widths are only drawn for the
-// selected cells, so the scan costs one hashed draw per cell.
+// Quiet reports whether a read of line (set, way) at voltage v provably
+// flips nothing: the effective voltage sits above every profiled cell's
+// CleanAbove, so each flip probability is exactly zero and SampleFlips
+// would draw nothing from the fault stream.
+func (a *Array) Quiet(set, way int, v float64) bool {
+	return v-a.Model.TempShift(a.tempC) > a.LineProfile(set, way).clean
+}
+
+// wordTop keeps one codeword's weakBitsPerWord highest-Vcrit cells in
+// descending order. Among equal Vcrit, the cell offered first ranks
+// first, so offering cells in position order makes the result a pure
+// function of the word's (Vcrit, position) pairs.
+type wordTop struct {
+	bits [weakBitsPerWord]WeakBit
+	n    int
+}
+
+func (t *wordTop) offer(pos int, v float64) {
+	if t.n == weakBitsPerWord && v <= t.bits[t.n-1].Vcrit {
+		return
+	}
+	wb := WeakBit{Pos: pos, Vcrit: v}
+	for i := 0; i < weakBitsPerWord; i++ {
+		if i >= t.n || wb.Vcrit > t.bits[i].Vcrit {
+			copy(t.bits[i+1:], t.bits[i:weakBitsPerWord-1])
+			t.bits[i] = wb
+			if t.n < weakBitsPerWord {
+				t.n++
+			}
+			break
+		}
+	}
+}
+
+// scanLine evaluates every cell of a line, aging included, and keeps
+// the top weakBitsPerWord cells of each codeword; sigmoid widths are
+// only drawn for the selected cells. It is the scan for aged arrays,
+// and the reference scanLineRanked is held to.
 func (a *Array) scanLine(set, way int) *Profile {
-	base := a.Model.P.Kinds[a.Kind].Mu + a.Model.Systematic(a.Core, a.Kind)
 	bitsOut := make([]WeakBit, 0, WordsPerLine*weakBitsPerWord)
 	for w := 0; w < WordsPerLine; w++ {
-		var top [weakBitsPerWord]WeakBit // descending by Vcrit
-		n := 0
+		var top wordTop
 		for cw := 0; cw < ecc.CodewordBits; cw++ {
 			pos := w*ecc.CodewordBits + cw
-			v := base + a.Model.CellRandom(a.Core, a.Kind, set, way, pos)
+			v := a.base + a.Model.CellRandom(a.Core, a.Kind, set, way, pos)
 			if a.ageHours > 0 {
 				v += a.Model.AgingShift(a.Core, a.Kind, set, way, pos, a.ageHours)
 			}
-			if n == weakBitsPerWord && v <= top[n-1].Vcrit {
-				continue
-			}
-			wb := WeakBit{Pos: pos, Vcrit: v}
-			for i := 0; i < weakBitsPerWord; i++ {
-				if i >= n || wb.Vcrit > top[i].Vcrit {
-					copy(top[i+1:], top[i:weakBitsPerWord-1])
-					top[i] = wb
-					if n < weakBitsPerWord {
-						n++
-					}
-					break
-				}
-			}
+			top.offer(pos, v)
 		}
-		bitsOut = append(bitsOut, top[:n]...)
+		bitsOut = append(bitsOut, top.bits[:top.n]...)
 	}
 	for i := range bitsOut {
 		bitsOut[i].Width = a.Model.CellWidth(a.Core, a.Kind, set, way, bitsOut[i].Pos)
@@ -261,10 +333,125 @@ func (a *Array) scanLine(set, way int) *Profile {
 	return &Profile{Bits: bitsOut}
 }
 
-// byVcritDesc orders weak bits by descending critical voltage. A typed
-// sorter instead of a sort.Slice closure: scanLine runs once per line
-// per age epoch, but a whole-array characterization sweep scans
-// millions of cells and the closure-based swap was measurable there.
+// bitMix tabulates rng.KeyMix of every bit position of a line, so a
+// scan extends the line's cached draw prefix with one mix per cell.
+var bitMix = func() (t [BitsPerLine]uint64) {
+	for i := range t {
+		t[i] = rng.KeyMix(uint64(i))
+	}
+	return t
+}()
+
+// candidateWindow is how far below a word's second-highest raw cell
+// hash (the hash's top 53 bits, which rng.NormalInv maps to a normal
+// deviate) scanLineRanked still evaluates cells. NormalInv is monotone
+// in those bits only up to float noise: near its branch boundaries it
+// steps back by about 1e-12 over a few hundred adjacent values. Across
+// 2^20 values it climbs by at least 2.9e-10 even where it is flattest
+// (p = 0.5), so a cell further below cannot reach, or after the sigma
+// scaling and base offset are rounded tie, either top-ranked cell's
+// Vcrit. TestCandidateWindowCoversNormalInvNoise measures both figures.
+const candidateWindow = 1 << 20
+
+// rankedFloor is the lowest second-highest raw hash for which a word
+// is ranked, so that the window stays inside the upper half of the
+// range, where its bound is measured; lower raw hashes map to negative
+// deviates, below all of it. Under the floor every cell of the word is
+// evaluated, which with 72 cells per word happens with probability
+// about 73 * 2^-72.
+const rankedFloor = 1<<52 + candidateWindow
+
+// scanLineRanked computes the same profile as scanLine for an unaged
+// line. It draws each cell's raw hash with one rng.Extend of the line's
+// cached prefix, ranks each word's cells by it, and evaluates the
+// normal deviate (the scan's dominant cost) only for the cells within
+// candidateWindow of the word's second-highest hash — two, almost
+// always. Offering those in position order reproduces scanLine's
+// insertion exactly, since every other cell ranks below both
+// top-ranked cells in Vcrit.
+func (a *Array) scanLineRanked(set, way int) *Profile {
+	d := a.Model.LineDraws(a.Core, a.Kind, set, way)
+	// Every word has more than weakBitsPerWord cells, so the profile
+	// size is fixed.
+	p := a.newProfile(WordsPerLine * weakBitsPerWord)
+	bits := p.Bits
+	var raw [ecc.CodewordBits]uint64
+	for w := 0; w < WordsPerLine; w++ {
+		keys := bitMix[w*ecc.CodewordBits : (w+1)*ecc.CodewordBits]
+		var r1, r2 uint64 // the two highest raw hashes, r1 >= r2
+		for cw, km := range keys {
+			r := d.RandomHash(km) >> 11
+			raw[cw] = r
+			if r > r2 {
+				if r > r1 {
+					r1, r2 = r, r1
+				} else {
+					r2 = r
+				}
+			}
+		}
+		lo := uint64(0)
+		if r2 >= rankedFloor {
+			lo = r2 - candidateWindow
+		}
+		var top wordTop
+		for cw, r := range raw {
+			if r >= lo {
+				top.offer(w*ecc.CodewordBits+cw, a.base+d.Random(r<<11))
+			}
+		}
+		copy(bits[w*weakBitsPerWord:], top.bits[:])
+	}
+	for i := range bits {
+		bits[i].Width = d.Width(bitMix[bits[i].Pos])
+	}
+	sortByVcritDesc(bits)
+	return p
+}
+
+// profileSlabLines is how many lines' profiles newProfile carves from
+// one block.
+const profileSlabLines = 128
+
+// newProfile returns a profile with room for n bits, carved from
+// blocks shared with the array's other profiles: characterizing a
+// whole array then allocates a few blocks instead of two objects per
+// line.
+func (a *Array) newProfile(n int) *Profile {
+	if len(a.profSlab) == 0 || len(a.bitSlab) < n {
+		lines := min(profileSlabLines, a.Lines())
+		a.profSlab = make([]Profile, lines)
+		a.bitSlab = make([]WeakBit, lines*WordsPerLine*weakBitsPerWord)
+	}
+	p := &a.profSlab[0]
+	a.profSlab = a.profSlab[1:]
+	p.Bits = a.bitSlab[:n:n]
+	a.bitSlab = a.bitSlab[n:]
+	return p
+}
+
+// sortByVcritDesc orders a fixed-size profile's bits exactly as
+// sort.Sort(byVcritDesc(bits)) does. Without ties in Vcrit every
+// correct sort yields that one order, so an insertion sort of a copy
+// serves, at a fraction of the cost, for the ~12k profiles a chip
+// characterizes; a tie falls back to sort.Sort on the untouched bits.
+func sortByVcritDesc(bits []WeakBit) {
+	sorted := *(*[WordsPerLine * weakBitsPerWord]WeakBit)(bits)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j].Vcrit > sorted[j-1].Vcrit; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i].Vcrit == sorted[i-1].Vcrit {
+			sort.Sort(byVcritDesc(bits))
+			return
+		}
+	}
+	copy(bits, sorted[:])
+}
+
+// byVcritDesc orders weak bits by descending critical voltage.
 type byVcritDesc []WeakBit
 
 func (s byVcritDesc) Len() int           { return len(s) }

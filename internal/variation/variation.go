@@ -245,6 +245,45 @@ func (m *Model) CellRandom(core int, kind Kind, set, way, bit int) float64 {
 		uint64(kind), uint64(set), uint64(way), uint64(bit))
 }
 
+// LineDraws holds the hash prefixes behind one line's per-cell draws.
+// CellRandom and CellWidth key every cell by (core, kind, set, way,
+// bit), so all of a line's cells share the first keys; with the prefix
+// cached, a scan over the line's cells pays one rng.Extend per draw
+// instead of a full seven-key Hash. Each method takes the bit's
+// rng.KeyMix and returns exactly what the per-cell method would.
+type LineDraws struct {
+	random, width uint64
+	sigma         float64
+	wMin, wMax    float64
+}
+
+// LineDraws returns the draw prefixes of line (set, way) of a
+// structure; coordinates are as for CellVcrit.
+func (m *Model) LineDraws(core int, kind Kind, set, way int) LineDraws {
+	c, k, s, w := uint64(core), uint64(kind), uint64(set), uint64(way)
+	return LineDraws{
+		random: rng.Hash(m.Seed, tagCellRandom, c, k, s, w),
+		width:  rng.Hash(m.Seed, tagCellWidth, c, k, s, w),
+		sigma:  m.P.Kinds[kind].SigmaRandom,
+		wMin:   m.P.WidthMin,
+		wMax:   m.P.WidthMax,
+	}
+}
+
+// RandomHash returns the hash CellRandom draws for the bit with key mix
+// bitMix. Its top 53 bits order the cells' random components, up to
+// the float noise of rng.NormalInv.
+func (d *LineDraws) RandomHash(bitMix uint64) uint64 { return rng.Extend(d.random, bitMix) }
+
+// Random converts a RandomHash to the cell's CellRandom value.
+func (d *LineDraws) Random(h uint64) float64 { return d.sigma * rng.NormalInv(h) }
+
+// Width returns CellWidth for the bit with key mix bitMix.
+func (d *LineDraws) Width(bitMix uint64) float64 {
+	u := rng.Uniform(rng.Extend(d.width, bitMix))
+	return d.wMin + u*(d.wMax-d.wMin)
+}
+
 // CellVcrit returns the critical voltage of one bit cell, in volts,
 // before aging and temperature adjustments. Coordinates are
 // (core, kind, set, way, bit); for core-external structures (L3) pass the
