@@ -62,9 +62,10 @@ load-smoke:
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@latest ./...
 
-# One iteration of every benchmark — a smoke test so bench code can't rot.
+# One iteration of every benchmark — a smoke test so bench code can't
+# rot. -run '^$$' skips the tests, which `make test` already runs.
 bench:
-	$(GO) test -bench=. -benchtime=1x ./...
+	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 
 # Performance snapshot: single-chip tick latency (BenchmarkEngineTick)
 # plus fleet chips/min from a parallel micro-run, written to

@@ -222,7 +222,6 @@ func runCmd(ctx context.Context, args []string) error {
 	seconds := fs.Float64("seconds", 0.5, "simulated seconds for a direct -checkpoint/-resume run")
 	workloadName := fs.String("workload", "", "workload for a direct run (empty = characterization stress test)")
 	policyName := fs.String("policy", "", "speculation policy for a direct run (empty = paper; see `eccspec compare` for the registry)")
-	fidelity := fs.String("fidelity", "", "event-sampling fidelity for a direct run: full (default) or adaptive")
 	uncore := fs.Bool("uncore", false, "extend speculation to the uncore rail in a direct run")
 
 	// Accept ids before flags: `run fig10 -seed 2`.
@@ -247,7 +246,7 @@ func runCmd(ctx context.Context, args []string) error {
 			var conflict []string
 			fs.Visit(func(f *flag.Flag) {
 				switch f.Name {
-				case "seed", "full", "workload", "policy", "fidelity", "uncore":
+				case "seed", "full", "workload", "policy", "uncore":
 					conflict = append(conflict, "-"+f.Name)
 				}
 			})
@@ -264,7 +263,6 @@ func runCmd(ctx context.Context, args []string) error {
 			Full:       *full,
 			Workload:   *workloadName,
 			Policy:     *policyName,
-			Fidelity:   *fidelity,
 			Uncore:     *uncore,
 		})
 	}
@@ -357,7 +355,6 @@ type directOptions struct {
 	Full       bool
 	Workload   string
 	Policy     string
-	Fidelity   string
 	Uncore     bool
 }
 
@@ -377,17 +374,12 @@ func directRun(ctx context.Context, o directOptions) error {
 		if err != nil {
 			return fmt.Errorf("resume %s: %w", o.Resume, err)
 		}
-		fidNote := ""
-		if sim.Opts().Fidelity != "" {
-			fidNote = ", fidelity " + sim.Opts().Fidelity
-		}
-		fmt.Printf("resumed seed %d (%s, policy %s%s) at tick %d\n",
-			sim.Opts().Seed, sim.Opts().Workload, sim.Opts().Policy, fidNote, st.Ticks)
+		fmt.Printf("resumed seed %d (%s, policy %s) at tick %d\n",
+			sim.Opts().Seed, sim.Opts().Workload, sim.Opts().Policy, st.Ticks)
 	} else {
 		var err error
 		sim, err = eccspec.NewSimulator(eccspec.Options{
 			Seed: o.Seed, FullGeometry: o.Full, Workload: o.Workload, Policy: o.Policy,
-			Fidelity: o.Fidelity,
 		})
 		if err != nil {
 			return err
@@ -440,7 +432,7 @@ func usage() {
   eccspec list
   eccspec run <id>... [-seed N] [-full] [-fast] [-csv dir] [-plot] [-json]
   eccspec run all [flags]
-  eccspec run -checkpoint f [-seconds S] [-workload W] [-policy P] [-fidelity F] [-seed N] [-full] [-uncore]
+  eccspec run -checkpoint f [-seconds S] [-workload W] [-policy P] [-seed N] [-full] [-uncore]
   eccspec run -resume f [-seconds S] [-checkpoint f2]
   eccspec compare [-policies a,b,c] [-workloads w1,w2] [-seed N] [-fast] [-full] [-json]
   eccspec seeds <id> [-n N] [-full] [-fast=false]

@@ -12,14 +12,14 @@ package main
 //	go test ./cmd/eccspecd -run TestGoldenFleetEndpoints -update-golden
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"eccspec/internal/golden"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -73,29 +73,8 @@ func TestGoldenFleetEndpoints(t *testing.T) {
 		}
 		return b
 	}
-	results := canonicalResults(t, fetch("/v1/fleets/"+id+"/results"))
-	trace := fetch("/v1/fleets/" + id + "/trace")
-
-	check := func(name string, got []byte) {
-		path := filepath.Join("testdata", "golden", name)
-		if *updateGolden {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden (run with -update-golden): %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s diverged from the pre-policy-refactor golden\n--- got ---\n%s\n--- want ---\n%s",
-				name, got, want)
-		}
-	}
-	check("results.json", results)
-	check("trace.csv", trace)
+	golden.Check(t, filepath.Join("testdata", "golden", "results.json"), "results.json",
+		canonicalResults(t, fetch("/v1/fleets/"+id+"/results")), *updateGolden)
+	golden.Check(t, filepath.Join("testdata", "golden", "trace.csv"), "trace.csv",
+		fetch("/v1/fleets/"+id+"/trace"), *updateGolden)
 }

@@ -24,10 +24,6 @@ type metrics struct {
 	chipsSimulated atomic.Int64
 	chipsFailed    atomic.Int64
 	simTicks       atomic.Int64
-	// Adaptive-fidelity telemetry, accumulated from each finished chip's
-	// counters (full-fidelity chips contribute zeros).
-	fidelityFFTicks   atomic.Int64
-	fidelityDropbacks atomic.Int64
 }
 
 func newMetrics() *metrics { return &metrics{start: time.Now()} }
@@ -101,8 +97,6 @@ func (m *metrics) write(w io.Writer, sc scrape) {
 	}
 	gauge("eccspecd_degraded", "1 while the journal is unwritable and new fleets get 503s.", degradedV)
 	counter("eccspecd_sim_ticks_total", "Control ticks simulated across all fleets.", ticks)
-	counter("eccspecd_fidelity_fastforward_ticks_total", "Control ticks simulated in adaptive fast-forward mode.", m.fidelityFFTicks.Load())
-	counter("eccspecd_fidelity_dropback_total", "Adaptive-fidelity drop-backs to full event sampling.", m.fidelityDropbacks.Load())
 	gauge("eccspecd_sim_ticks_per_second", "Lifetime average simulation throughput.", rate)
 	gauge("eccspecd_uptime_seconds", "Seconds since the daemon started.", up)
 	if cl != nil {

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eccspec"
 	"eccspec/internal/admission"
 	"eccspec/internal/cluster"
 	"eccspec/internal/engine"
@@ -69,17 +68,22 @@ type fleetRequest struct {
 	BaseSeed         uint64   `json:"base_seed,omitempty"`
 	Workload         string   `json:"workload,omitempty"`
 	Policy           string   `json:"policy,omitempty"`
-	Fidelity         string   `json:"fidelity,omitempty"`
 	Priority         int      `json:"priority,omitempty"`
 	Seconds          float64  `json:"seconds"`
 	HighVoltagePoint bool     `json:"high_voltage_point,omitempty"`
 	FullGeometry     bool     `json:"full_geometry,omitempty"`
 	Uncore           bool     `json:"uncore,omitempty"`
 	TraceEvery       int      `json:"trace_every,omitempty"`
+	// Fidelity is decode-only: adaptive fidelity was removed, and a
+	// body that still asks for it is refused rather than run exactly.
+	Fidelity string `json:"fidelity,omitempty"`
 }
 
 // job converts the request into a fleet.Job.
 func (r fleetRequest) job() (fleet.Job, error) {
+	if r.Fidelity != "" && r.Fidelity != "full" {
+		return fleet.Job{}, fmt.Errorf("fidelity %q is not supported: adaptive fidelity was removed and every run samples each line exactly; omit the field or send \"full\"", r.Fidelity)
+	}
 	seeds := r.Seeds
 	if len(seeds) == 0 && r.Chips > 0 {
 		for i := 0; i < r.Chips; i++ {
@@ -93,7 +97,6 @@ func (r fleetRequest) job() (fleet.Job, error) {
 		Seeds:            seeds,
 		Workload:         r.Workload,
 		Policy:           r.Policy,
-		Fidelity:         r.Fidelity,
 		Priority:         r.Priority,
 		Seconds:          r.Seconds,
 		HighVoltagePoint: r.HighVoltagePoint,
@@ -594,8 +597,6 @@ func (s *server) runJob(j *fleetJob) {
 		if r.Err != nil {
 			s.metrics.chipsFailed.Add(1)
 		}
-		s.metrics.fidelityFFTicks.Add(r.FastForwardTicks)
-		s.metrics.fidelityDropbacks.Add(r.FidelityDropbacks)
 	}
 
 	// Merge stored and fresh results back into submission seed order so
@@ -864,7 +865,6 @@ type jobStatus struct {
 	Status     string  `json:"status"`
 	Workload   string  `json:"workload,omitempty"`
 	Policy     string  `json:"policy,omitempty"`
-	Fidelity   string  `json:"fidelity,omitempty"`
 	Priority   int     `json:"priority,omitempty"`
 	Seconds    float64 `json:"seconds"`
 	ChipsTotal int     `json:"chips_total"`
@@ -881,7 +881,6 @@ func (s *server) statusLocked(j *fleetJob) jobStatus {
 		Status:     j.Status,
 		Workload:   j.Job.Workload,
 		Policy:     j.Job.Policy,
-		Fidelity:   j.Job.Fidelity,
 		Priority:   j.Job.Priority,
 		Seconds:    j.Job.Seconds,
 		ChipsTotal: len(j.Job.Seeds),
@@ -1273,7 +1272,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"persistent": s.cfg.store != nil,
 		"degraded":   degraded,
 		"policies":   policy.Names(),
-		"fidelities": []string{eccspec.FidelityFull, eccspec.FidelityAdaptive},
 		"queue": map[string]int{
 			"depth":    s.queue.Depth(),
 			"capacity": s.queue.Capacity(),

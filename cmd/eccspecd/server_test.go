@@ -190,6 +190,27 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitFidelity: adaptive fidelity was removed, so a body that
+// still asks for it is refused with a message saying so, never run at
+// exact sampling instead; "full" (the only mode left) is accepted.
+func TestSubmitFidelity(t *testing.T) {
+	_, ts := newTestServer(t)
+	code, m := postFleet(t, ts, `{"seeds":[1],"seconds":0.02,"fidelity":"adaptive"}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("adaptive fidelity: HTTP %d (%v), want 400", code, m)
+	}
+	if msg, _ := m["error"].(string); !strings.Contains(msg, "adaptive") || !strings.Contains(msg, "removed") {
+		t.Fatalf("adaptive fidelity error %q does not name the removed mode", msg)
+	}
+	code, st := postFleet(t, ts, `{"seeds":[1],"seconds":0.02,"fidelity":"full"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("full fidelity: HTTP %d (%v), want 202", code, st)
+	}
+	if fin := waitDone(t, ts, st["id"].(string)); fin["status"] != statusDone {
+		t.Fatalf("full-fidelity fleet finished %v: %v", fin["status"], fin["error"])
+	}
+}
+
 // TestResultsBeforeDone hits the results/trace endpoints of a job that
 // cannot have started (the runner is saturated by a long job) and
 // expects 409 Conflict.

@@ -58,24 +58,6 @@ var ErrUnknownWorkload = errors.New("eccspec: unknown workload")
 // wrapped message lists the valid names.
 var ErrUnknownPolicy = errors.New("eccspec: unknown policy")
 
-// ErrUnknownFidelity is returned by NewSimulator when Options.Fidelity
-// names no known fidelity mode. Use errors.Is to test for it.
-var ErrUnknownFidelity = errors.New("eccspec: unknown fidelity")
-
-// Fidelity modes accepted by Options.Fidelity.
-const (
-	// FidelityFull runs the exact per-line sampling kernels every tick;
-	// outputs are byte-identical to the pre-kernel implementation.
-	FidelityFull = "full"
-	// FidelityAdaptive lets the chip fast-forward through aggregate
-	// per-bank sampling once the control loop has been stable for
-	// several decision windows, dropping back to full fidelity on any
-	// control-loop event. Deterministic (same seed, same decisions
-	// across runs) but statistically rather than bitwise equivalent to
-	// full fidelity.
-	FidelityAdaptive = "adaptive"
-)
-
 // PolicyNames lists the registered speculation policies, sorted.
 func PolicyNames() []string { return policy.Names() }
 
@@ -99,11 +81,6 @@ type Options struct {
 	// system (see internal/policy's registry); empty selects the paper's
 	// floor/ceiling ladder.
 	Policy string
-	// Fidelity selects the event-sampling fidelity: FidelityFull (or
-	// empty) for exact per-line sampling, FidelityAdaptive for
-	// stability-gated fast-forward. Anything else is rejected with
-	// ErrUnknownFidelity.
-	Fidelity string
 }
 
 // Simulator couples a simulated chip with the paper's voltage
@@ -136,20 +113,7 @@ func NewSimulator(o Options) (*Simulator, error) {
 		return nil, fmt.Errorf("%w %q (valid: %s)", ErrUnknownPolicy, polName,
 			strings.Join(policy.Names(), ", "))
 	}
-	switch o.Fidelity {
-	case "", FidelityFull:
-		// Full fidelity is recorded as the empty string so checkpoints
-		// of full-fidelity runs keep their historical shape.
-		o.Fidelity = ""
-	case FidelityAdaptive:
-	default:
-		return nil, fmt.Errorf("%w %q (valid: %s, %s)", ErrUnknownFidelity,
-			o.Fidelity, FidelityFull, FidelityAdaptive)
-	}
 	c := chip.New(chip.DefaultParams(o.Seed, !o.HighVoltagePoint, o.FullGeometry))
-	if o.Fidelity == FidelityAdaptive {
-		c.SetAdaptiveFidelity(true)
-	}
 	for _, co := range c.Cores {
 		co.SetWorkload(p, o.Seed)
 	}
@@ -173,10 +137,6 @@ func (s *Simulator) Chip() *chip.Chip { return s.chip }
 
 // Control exposes the underlying voltage control system.
 func (s *Simulator) Control() *control.System { return s.ctl }
-
-// FidelityAdaptive reports whether the simulator was built with
-// adaptive fidelity (Options.Fidelity == FidelityAdaptive).
-func (s *Simulator) FidelityAdaptive() bool { return s.chip.AdaptiveFidelity() }
 
 // Calibrate runs the boot-time calibration: each voltage domain sweeps
 // its L2 caches to locate its weakest line, de-configures it, and points

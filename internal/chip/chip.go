@@ -38,7 +38,6 @@ import (
 	"eccspec/internal/power"
 	"eccspec/internal/rng"
 	"eccspec/internal/sram"
-	"eccspec/internal/stats"
 	"eccspec/internal/variation"
 	"eccspec/internal/workload"
 )
@@ -269,19 +268,6 @@ type Chip struct {
 	uncoreEff   float64
 	lastUncoreW float64
 
-	// Adaptive-fidelity state. With adaptiveFid enabled (off by
-	// default) the control system calls EnterFastForward once the loop
-	// has been stable long enough; fast-forwarded ticks draw one
-	// aggregate Poisson sample per (core, bank) from the kernel's
-	// summed line rates instead of walking lines. Any control-loop
-	// event — step decision, emergency, fail-safe, injected fault,
-	// failed self-test, rail-target change — drops straight back to
-	// full fidelity.
-	adaptiveFid bool
-	fastForward bool
-	ffTicks     int64
-	dropbacks   int64
-
 	// Per-tick scratch reused across Steps so the steady-state loop
 	// allocates nothing.
 	repCores []CoreReport
@@ -332,55 +318,8 @@ func New(p Params) *Chip {
 		dom.lastEff = dom.Rail.Target()
 		c.Domains = append(c.Domains, dom)
 	}
-	// Any rail movement — controller step, experiment sweep, injected
-	// disturbance — invalidates the premise of fast-forwarding.
-	for _, dom := range c.Domains {
-		dom.Rail.OnChange(c.DropFastForward)
-	}
-	c.UncoreRail.OnChange(c.DropFastForward)
 	return c
 }
-
-// Adaptive-fidelity accessors ------------------------------------------
-
-// SetAdaptiveFidelity enables (or disables) adaptive fidelity. Disabling
-// also leaves fast-forward immediately.
-func (c *Chip) SetAdaptiveFidelity(on bool) {
-	c.adaptiveFid = on
-	if !on {
-		c.fastForward = false
-	}
-}
-
-// AdaptiveFidelity reports whether adaptive fidelity is enabled.
-func (c *Chip) AdaptiveFidelity() bool { return c.adaptiveFid }
-
-// EnterFastForward switches event sampling to the aggregate kernel.
-// A no-op unless adaptive fidelity is enabled.
-func (c *Chip) EnterFastForward() {
-	if c.adaptiveFid {
-		c.fastForward = true
-	}
-}
-
-// DropFastForward returns to exact per-line sampling (no-op when not
-// fast-forwarding). Counted so telemetry can report drop-back churn.
-func (c *Chip) DropFastForward() {
-	if c.fastForward {
-		c.fastForward = false
-		c.dropbacks++
-	}
-}
-
-// FastForward reports whether the chip is currently fast-forwarding.
-func (c *Chip) FastForward() bool { return c.fastForward }
-
-// FastForwardTicks returns how many ticks ran on the aggregate kernel.
-func (c *Chip) FastForwardTicks() int64 { return c.ffTicks }
-
-// FidelityDropbacks returns how many times fast-forward was abandoned
-// for a control-loop event.
-func (c *Chip) FidelityDropbacks() int64 { return c.dropbacks }
 
 // Time returns the accumulated simulated time in seconds.
 //
@@ -585,9 +524,6 @@ func (c *Chip) SensitivityFloor() float64 {
 // copy it.
 func (c *Chip) Step() TickReport {
 	dt := c.P.TickSeconds
-	if c.fastForward {
-		c.ffTicks++
-	}
 	if c.repCores == nil {
 		c.repCores = make([]CoreReport, len(c.Cores))
 		c.demands = make([]workload.Demand, len(c.Cores))
@@ -736,9 +672,6 @@ func (c *Chip) sampleWorkloadErrors(co *Core, kind variation.Kind, accesses floa
 	perLine := accesses / footprint
 	t := co.kernelTable(kind, c.SensitivityFloor())
 	t.EnsureFootprint(co.wl)
-	if c.fastForward {
-		return c.fastForwardSample(co, t, kind.String(), perLine, v, true)
-	}
 	// Lines whose weakest cell sits more than ~8 ramp widths above the
 	// current voltage cannot flip; the table is sorted by onset voltage,
 	// so the kernel stops at the first line too strong to matter.
@@ -762,38 +695,12 @@ func (c *Chip) sampleRegFileErrors(co *Core, perLine float64, v float64) (correc
 		return 0, false
 	}
 	t := co.kernelTable(variation.KindRegFile, c.SensitivityFloor())
-	if c.fastForward {
-		n, _, fat := c.fastForwardSample(co, t, "RegFile", perLine, v, false)
-		return n, fat
-	}
 	n, _, fat, counts := t.SampleAll(c.stream, v, math.Inf(-1), perLine, perLine*c.P.FatalRateFactor)
 	for _, lc := range counts {
 		c.MCA.Report(mca.Event{Time: c.time, Core: co.ID,
 			Bank: "RegFile", Set: lc.Set, Way: lc.Way, Count: lc.N})
 	}
 	return n, fat
-}
-
-// fastForwardSample advances one (core, bank) through a fast-forwarded
-// tick: one aggregate Poisson draw for corrected events and one for
-// uncorrectable exposure, from the kernel's summed line rates at the
-// quantized operating point. Corrected events are attributed to the
-// bank's most sensitive live line for MCA logging.
-func (c *Chip) fastForwardSample(co *Core, t *kernel.Table, bank string, perLine, v float64, footprint bool) (corrected int, trueMean float64, fatal bool) {
-	ps, pu, repSet, repWay := t.Rates(v, footprint)
-	if ps > 0 {
-		mean := perLine * ps
-		corrected = stats.SamplePoissonFast(c.stream, mean)
-		trueMean = mean
-		if corrected > 0 {
-			c.MCA.Report(mca.Event{Time: c.time, Core: co.ID,
-				Bank: bank, Set: repSet, Way: repWay, Count: corrected})
-		}
-	}
-	if pu > 0 && stats.SamplePoissonFast(c.stream, perLine*c.P.FatalRateFactor*pu) > 0 {
-		fatal = true
-	}
-	return corrected, trueMean, fatal
 }
 
 // logicFaultRate returns the expected per-second rate of detectable

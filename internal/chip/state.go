@@ -89,13 +89,6 @@ type State struct {
 	L3          ArrayState `json:"l3"`
 
 	MCA mca.LogState `json:"mca"`
-
-	// Adaptive-fidelity state; all zero for full-fidelity runs, so
-	// pre-fidelity blobs — and full-fidelity blobs from this version —
-	// keep their exact shape.
-	FastForward bool  `json:"fast_forward,omitempty"`
-	FFTicks     int64 `json:"fast_forward_ticks,omitempty"`
-	Dropbacks   int64 `json:"fidelity_dropbacks,omitempty"`
 }
 
 // CaptureState snapshots the chip's mutable state.
@@ -110,9 +103,6 @@ func (c *Chip) CaptureState() State {
 		LastUncoreW: c.lastUncoreW,
 		L3:          captureArray(c.L3.Array()),
 		MCA:         c.MCA.CaptureState(),
-		FastForward: c.fastForward,
-		FFTicks:     c.ffTicks,
-		Dropbacks:   c.dropbacks,
 	}
 	st.UncoreJ, st.UncoreS = c.uncoreMeter.State()
 	for _, co := range c.Cores {
@@ -204,11 +194,6 @@ func (c *Chip) RestoreState(st State) error {
 		d.Rail.SetTarget(st.Domains[i].Rail.TargetV)
 		d.lastEff = st.Domains[i].LastEff
 	}
-	// Restored after the rails: SetTarget fires the rail-change hooks,
-	// which must not count as drop-backs against the restored state.
-	c.fastForward = st.FastForward && c.adaptiveFid
-	c.ffTicks = st.FFTicks
-	c.dropbacks = st.Dropbacks
 	return nil
 }
 

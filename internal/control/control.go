@@ -72,27 +72,20 @@ type Config struct {
 	// monitor advances its counter by ProbesPerTick every tick, so the
 	// watchdog never fires without a fault. <= 0 disables it.
 	WatchdogStalledTicks int
-	// FidelityStableWindows is how many consecutive in-band (Hold)
-	// decisions every speculating domain must accumulate before an
-	// adaptive-fidelity chip may fast-forward (chip.EnterFastForward).
-	// Irrelevant unless the chip has adaptive fidelity enabled; <= 0
-	// falls back to the default.
-	FidelityStableWindows int
 }
 
 // DefaultConfig returns the paper's operating parameters.
 func DefaultConfig() Config {
 	return Config{
-		FloorRate:             0.01,
-		CeilRate:              0.05,
-		EmergencySteps:        5,
-		ProbesPerTick:         50,
-		DecisionProbes:        200,
-		CalibStepV:            0.005,
-		CalibReadsPerLine:     4,
-		CalibFloorV:           0.350,
-		WatchdogStalledTicks:  10,
-		FidelityStableWindows: 4,
+		FloorRate:            0.01,
+		CeilRate:             0.05,
+		EmergencySteps:       5,
+		ProbesPerTick:        50,
+		DecisionProbes:       200,
+		CalibStepV:           0.005,
+		CalibReadsPerLine:    4,
+		CalibFloorV:          0.350,
+		WatchdogStalledTicks: 10,
 	}
 }
 
@@ -229,13 +222,6 @@ type System struct {
 	stalled     map[int]int
 	emergencies int
 
-	// stableHolds counts, per domain (UncoreDomainID included), the
-	// consecutive in-band (Hold) decisions since the last control-loop
-	// event. Maintained only when the chip has adaptive fidelity
-	// enabled; once every speculating domain has been stable for
-	// Cfg.FidelityStableWindows decisions, the chip may fast-forward.
-	stableHolds map[int]int
-
 	// acts is Tick's scratch, reused so the steady-state loop
 	// allocates nothing.
 	acts []Action
@@ -290,14 +276,13 @@ func newSystem(c *chip.Chip, cfg Config) *System {
 		// The default policy is built from this system's own band so
 		// experiments that sweep FloorRate/CeilRate (the ablation study)
 		// keep working unchanged.
-		pol:         policy.NewPaper(cfg.FloorRate, cfg.CeilRate),
-		probers:     make(map[monKey]Prober),
-		active:      make(map[int]Prober),
-		assigns:     make(map[int]Assignment),
-		lastRate:    make(map[int]float64),
-		failed:      make(map[int]string),
-		stalled:     make(map[int]int),
-		stableHolds: make(map[int]int),
+		pol:      policy.NewPaper(cfg.FloorRate, cfg.CeilRate),
+		probers:  make(map[monKey]Prober),
+		active:   make(map[int]Prober),
+		assigns:  make(map[int]Assignment),
+		lastRate: make(map[int]float64),
+		failed:   make(map[int]string),
+		stalled:  make(map[int]int),
 	}
 }
 
@@ -511,49 +496,7 @@ func (s *System) Tick() []Action {
 		out = append(out, act)
 	}
 	s.acts = out
-	if s.Chip.AdaptiveFidelity() {
-		s.trackFidelity(out)
-	}
 	return out
-}
-
-// trackFidelity drives the adaptive-fidelity state machine from the
-// tick's actions: in-band decisions accumulate stability, anything else
-// — step decision, emergency, fail-safe (which covers failed self-tests
-// and stalled sensors) — zeroes the domain's count and abandons
-// fast-forward. When every speculating domain has held for
-// Cfg.FidelityStableWindows consecutive decisions, the chip is allowed
-// to fast-forward through the aggregate kernel.
-func (s *System) trackFidelity(acts []Action) {
-	for _, a := range acts {
-		switch a.Kind {
-		case Hold:
-			s.stableHolds[a.Domain]++
-		case Pending:
-			// No decision completed; stability carries over.
-		default:
-			s.stableHolds[a.Domain] = 0
-			s.Chip.DropFastForward()
-		}
-	}
-	k := s.Cfg.FidelityStableWindows
-	if k <= 0 {
-		k = DefaultConfig().FidelityStableWindows
-	}
-	if len(s.active) == 0 && s.uncore == nil {
-		// Nothing is speculating; there is no stability signal to
-		// justify fast-forwarding.
-		return
-	}
-	for id := range s.active {
-		if s.stableHolds[id] < k {
-			return
-		}
-	}
-	if s.uncore != nil && s.stableHolds[UncoreDomainID] < k {
-		return
-	}
-	s.Chip.EnterFastForward()
 }
 
 // applyDecision translates a policy decision into rail operations and

@@ -34,10 +34,6 @@ type State struct {
 	// Stateless policies (the default paper ladder) capture nil, so
 	// default-policy checkpoints keep their historical shape.
 	PolicyState json.RawMessage `json:"policy_state,omitempty"`
-	// StableHolds is the adaptive-fidelity stability counter per domain.
-	// Populated only on adaptive-fidelity chips, so full-fidelity blobs
-	// keep their shape.
-	StableHolds map[int]int `json:"stable_holds,omitempty"`
 }
 
 // CaptureState snapshots the control system. It errors when a domain's
@@ -78,12 +74,6 @@ func (s *System) CaptureState() (State, error) {
 		return State{}, fmt.Errorf("control: capture %s policy state: %w", s.pol.Name(), err)
 	}
 	st.PolicyState = blob
-	if s.Chip.AdaptiveFidelity() && len(s.stableHolds) > 0 {
-		st.StableHolds = make(map[int]int, len(s.stableHolds))
-		for id, n := range s.stableHolds {
-			st.StableHolds[id] = n
-		}
-	}
 	return st, nil
 }
 
@@ -142,10 +132,6 @@ func (s *System) RestoreState(st State) error {
 	// (a guardband freeze, tscache accounting) on top of it.
 	if err := s.pol.RestoreState(st.PolicyState); err != nil {
 		return fmt.Errorf("control: restore %s policy state: %w", s.pol.Name(), err)
-	}
-	clear(s.stableHolds)
-	for id, n := range st.StableHolds {
-		s.stableHolds[id] = n
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -57,7 +58,9 @@ func TestBenchSnapshot(t *testing.T) {
 	for seed := uint64(4000); seed < 4008; seed++ {
 		job.Seeds = append(job.Seeds, seed)
 	}
-	eng := fleet.New(fleet.Config{Workers: 4})
+	// The engine's default worker count (GOMAXPROCS), so the row
+	// describes the machine it was measured on.
+	eng := fleet.New(fleet.Config{})
 	start := time.Now()
 	results, err := eng.Run(context.Background(), job, nil)
 	if err != nil {
@@ -81,6 +84,9 @@ func TestBenchSnapshot(t *testing.T) {
 		"fleet_workers":   eng.Workers(),
 		"fleet_elapsed_s": elapsed.Seconds(),
 		"chips_per_min":   float64(chips) / elapsed.Minutes(),
+		"nproc":           runtime.NumCPU(),
+		"gomaxprocs":      runtime.GOMAXPROCS(0),
+		"go_version":      runtime.Version(),
 	}, "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -115,7 +115,7 @@ func register(e Experiment) { registry = append(registry, e) }
 var paperOrder = []string{
 	"fig1", "fig2", "fig3", "fig4", "tab1", "tab2",
 	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-	"fig17", "fig18", "retention", "aging", "temp", "methodology", "compare", "freqscale", "uncorespec", "fanspeed", "validate", "soak", "pareto", "fidelity",
+	"fig17", "fig18", "retention", "aging", "temp", "methodology", "compare", "freqscale", "uncorespec", "fanspeed", "validate", "soak", "pareto",
 }
 
 func orderOf(id string) int {

@@ -11,7 +11,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig17", "fig18", "retention", "aging", "temp",
 		"ablate-band", "ablate-proberate", "ablate-step", "ablate-rails",
 		"methodology", "compare", "freqscale", "uncorespec", "fanspeed", "validate", "soak", "pareto",
-		"policies", "fidelity"}
+		"policies"}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("experiment %s not registered", id)

@@ -13,9 +13,10 @@ package experiments
 import (
 	"bytes"
 	"flag"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"eccspec/internal/golden"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -46,24 +47,8 @@ func TestGoldenPaperTables(t *testing.T) {
 			if err := res.Write(&buf); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "golden", id+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update-golden): %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("%s output diverged from the pre-policy-refactor golden\n--- got ---\n%s\n--- want ---\n%s",
-					id, buf.Bytes(), want)
-			}
+			golden.Check(t, filepath.Join("testdata", "golden", id+".golden"),
+				id+" output", buf.Bytes(), *updateGolden)
 		})
 	}
 }

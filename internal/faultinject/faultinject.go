@@ -445,12 +445,6 @@ func (o *simObserver) deliver(v engine.View, f Fault, apply bool) {
 		}
 		mon.SetFault(mode)
 	}
-	// An injected fault (or its clearance) is a control-loop event: an
-	// adaptive-fidelity chip must observe its consequences at full
-	// per-line fidelity, not through aggregate rates. PDN transients
-	// already drop via the rail-change hook; monitor faults need this
-	// explicit drop.
-	c.DropFastForward()
 	o.in.record(Event{Chip: o.chip, Tick: v.Tick, Phase: phase, Fault: f})
 }
 

@@ -56,11 +56,6 @@ type Job struct {
 	// system (empty selects the paper's floor/ceiling ladder). The field
 	// serializes with the job, so cluster workers run the same policy.
 	Policy string `json:"policy,omitempty"`
-	// Fidelity selects every chip's event-sampling fidelity ("full" or
-	// empty for exact per-line sampling, "adaptive" for stability-gated
-	// fast-forward). Serializes with the job, so cluster workers run at
-	// the same fidelity.
-	Fidelity string `json:"fidelity,omitempty"`
 	// Priority is the job's admission class (0..9, higher first). The
 	// engine itself runs whatever it is handed; the field lives on the
 	// Job so the daemon's bounded queue can order admissions and so the
@@ -156,22 +151,7 @@ func (j Job) Validate() error {
 				j.Policy, strings.Join(policy.Names(), ", "))
 		}
 	}
-	switch j.Fidelity {
-	case "", eccspec.FidelityFull, eccspec.FidelityAdaptive:
-	default:
-		return fmt.Errorf("fleet: unknown fidelity %q (valid: %s, %s)",
-			j.Fidelity, eccspec.FidelityFull, eccspec.FidelityAdaptive)
-	}
 	return nil
-}
-
-// resolveFidelity maps a job fidelity spec onto its canonical Options
-// form (full fidelity is recorded as the empty string).
-func resolveFidelity(f string) string {
-	if f == eccspec.FidelityFull {
-		return ""
-	}
-	return f
 }
 
 // ChipResult is the outcome of one chip's simulation. Exactly one of
@@ -205,11 +185,6 @@ type ChipResult struct {
 	// nominal after a monitor fault (sorted; nil in healthy runs). Like
 	// Emergencies, live telemetry only.
 	FailSafe []int
-	// FastForwardTicks and FidelityDropbacks report adaptive-fidelity
-	// activity: ticks advanced on the aggregate kernel and the number of
-	// drop-backs to full fidelity. Zero for full-fidelity jobs.
-	FastForwardTicks  int64
-	FidelityDropbacks int64
 	// Trace holds per-tick telemetry when the job requested it.
 	Trace *trace.Recorder
 }
@@ -360,10 +335,6 @@ func simulateChip(ctx context.Context, job Job, seed uint64) (res ChipResult) {
 			res.Err = fmt.Errorf("resume: checkpoint ran policy %q, job wants %q", got, want)
 			return res
 		}
-		if got, want := restored.Opts().Fidelity, resolveFidelity(job.Fidelity); got != want {
-			res.Err = fmt.Errorf("resume: checkpoint ran fidelity %q, job wants %q", got, want)
-			return res
-		}
 		sim = restored
 		start = st.Ticks
 		if job.TraceEvery > 0 {
@@ -383,7 +354,6 @@ func simulateChip(ctx context.Context, job Job, seed uint64) (res ChipResult) {
 			Seed:             seed,
 			Workload:         job.Workload,
 			Policy:           job.Policy,
-			Fidelity:         job.Fidelity,
 			HighVoltagePoint: job.HighVoltagePoint,
 			FullGeometry:     job.FullGeometry,
 		})
@@ -438,8 +408,6 @@ func simulateChip(ctx context.Context, job Job, seed uint64) (res ChipResult) {
 	res.Ticks = rep.Tick
 	res.Emergencies = sim.Control().Emergencies()
 	res.FailSafe = sim.Control().FailSafeDomains()
-	res.FastForwardTicks = sim.Chip().FastForwardTicks()
-	res.FidelityDropbacks = sim.Chip().FidelityDropbacks()
 	if err != nil {
 		res.Err = err
 		return res

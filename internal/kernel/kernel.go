@@ -10,22 +10,9 @@
 // a whole array's tick can be sampled with one comparison per line and
 // exact probability math only for the few lines that can actually flip.
 //
-// Two kernels operate on a Table:
-//
-//   - Sample is the exact kernel: it reproduces the scalar loop's
-//     floating-point operations and stream draws bit for bit, so
-//     full-fidelity simulation stays byte-identical to the pre-kernel
-//     implementation.
-//   - Rates is the aggregate kernel for adaptive-fidelity fast-forward:
-//     it sums the per-line event probabilities at a quantized
-//     (voltage, temperature) point and memoizes the sums, so a stable
-//     domain advances with one Poisson draw per (core, bank) instead
-//     of a per-line walk. The quantized operating point is part of the
-//     memo key, which is also the invalidation rule: any rail-target,
-//     droop, or temperature change that moves the quantized point
-//     recomputes, and recomputation always evaluates at the quantized
-//     point itself so a cold cache (e.g. after checkpoint restore)
-//     returns the same values a warm one would.
+// Sample (and SampleAll, its register-file form) reproduces the scalar
+// loop's floating-point operations and stream draws bit for bit, so
+// simulation stays byte-identical to the pre-kernel implementation.
 package kernel
 
 import (
@@ -53,24 +40,8 @@ type LineCount struct {
 	N        int
 }
 
-// rateEntry is one memoized aggregate evaluation; see Rates.
-type rateEntry struct {
-	ok     bool
-	fp     bool
-	wl     *workload.Workload
-	vq, tq float64
-	ps, pu float64
-	repSet int32
-	repWay int32
-}
-
-// rateEntries sizes the aggregate memo: enough buckets to cover the
-// tick-to-tick droop jitter around a setpoint at both of the adjacent
-// quantized temperatures without thrashing.
-const rateEntries = 32
-
 // Table is the struct-of-arrays view of one array's sensitive lines.
-// It is built once per (array, age epoch) and shared by both kernels.
+// It is built once per (array, age epoch).
 type Table struct {
 	arr  *sram.Array
 	kind variation.Kind
@@ -98,20 +69,16 @@ type Table struct {
 	safeV   []float64
 	cand    []uint16 // lineProbabilities scratch: live cells of one line
 
-	// exercised caches the workload footprint mask; wl identifies the
-	// workload instance it was built for. fpIdx is the mask compacted
-	// into line indices (vmax order preserved) so the sampling loop
-	// never visits unexercised lines; allIdx is the identity order used
-	// when the mask is off.
-	wl        *workload.Workload
-	exercised []bool
-	fpIdx     []int32
-	allIdx    []int32
+	// fpIdx caches the workload footprint as the indices of the
+	// exercised lines (vmax order preserved), so the sampling loop never
+	// visits unexercised lines; wl identifies the workload instance it
+	// was built for. allIdx is the identity order used when the
+	// footprint is off.
+	wl     *workload.Workload
+	fpIdx  []int32
+	allIdx []int32
 
 	counts []LineCount // Sample scratch
-
-	rates     [rateEntries]rateEntry
-	rateClock int
 }
 
 // Build flattens the given sensitive lines (descending onset voltage)
@@ -185,20 +152,11 @@ func (t *Table) EnsureFootprint(wl *workload.Workload) {
 		return
 	}
 	t.wl = wl
-	if cap(t.exercised) < len(t.set) {
-		t.exercised = make([]bool, len(t.set))
-	}
-	t.exercised = t.exercised[:len(t.set)]
 	t.fpIdx = t.fpIdx[:0]
-	for i := range t.exercised {
-		t.exercised[i] = wl.Exercises(t.kind, int(t.set[i]), int(t.way[i]))
-		if t.exercised[i] {
+	for i := range t.set {
+		if wl.Exercises(t.kind, int(t.set[i]), int(t.way[i])) {
 			t.fpIdx = append(t.fpIdx, int32(i))
 		}
-	}
-	// The footprint is part of the aggregate's identity.
-	for i := range t.rates {
-		t.rates[i].ok = false
 	}
 }
 
@@ -345,61 +303,4 @@ func (t *Table) lineProbabilities(i int, vEff float64, first, second *[sram.Word
 	}
 	pAny := 1 - anyClean
 	return pAny - pu, pu
-}
-
-// quantize rounds the operating point onto the aggregate-memo grid:
-// half-millivolt voltage buckets and tenth-degree temperature buckets.
-func quantize(v, tempC float64) (vq, tq float64) {
-	return float64(int64(v*2000+0.5)) / 2000, float64(int64(tempC*10+0.5)) / 10
-}
-
-// Rates returns the table's summed per-access correctable and
-// uncorrectable event probabilities at the quantized operating point
-// nearest (v, current temperature), plus a representative line (the
-// live line with the highest onset voltage) for event attribution.
-// footprint selects whether the workload mask applies.
-//
-// Used by adaptive-fidelity fast-forward: corrected events for a whole
-// (core, bank) follow Poisson(perLine * ps). Evaluations are memoized
-// per (quantized voltage, quantized temperature, footprint identity);
-// the quantized key doubles as the invalidation rule for rail and
-// temperature changes, and because the sums are computed at the
-// quantized point itself, a cold cache reproduces a warm one's values
-// exactly.
-func (t *Table) Rates(v float64, footprint bool) (ps, pu float64, repSet, repWay int) {
-	vq, tq := quantize(v, t.arr.Temperature())
-	wl := t.wl
-	if !footprint {
-		wl = nil
-	}
-	for i := range t.rates {
-		e := &t.rates[i]
-		if e.ok && e.fp == footprint && e.wl == wl && e.vq == vq && e.tq == tq {
-			return e.ps, e.pu, int(e.repSet), int(e.repWay)
-		}
-	}
-	var first, second [sram.WordsPerLine]float64
-	vEff := vq - t.arr.Model.TempShift(tq)
-	repSet, repWay = -1, -1
-	for i := range t.vmax {
-		if footprint && !t.exercised[i] {
-			continue
-		}
-		if vEff > t.vsafe[i] {
-			continue
-		}
-		lps, lpu := t.lineProbabilities(i, vEff, &first, &second)
-		if lps > 0 || lpu > 0 {
-			if repSet < 0 {
-				repSet, repWay = int(t.set[i]), int(t.way[i])
-			}
-			ps += lps
-			pu += lpu
-		}
-	}
-	e := &t.rates[t.rateClock%rateEntries]
-	t.rateClock++
-	*e = rateEntry{ok: true, fp: footprint, wl: wl, vq: vq, tq: tq,
-		ps: ps, pu: pu, repSet: int32(repSet), repWay: int32(repWay)}
-	return ps, pu, repSet, repWay
 }

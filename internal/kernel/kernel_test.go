@@ -113,45 +113,3 @@ func TestSampleMatchesScalarReference(t *testing.T) {
 		}
 	}
 }
-
-// TestRatesInvalidation drives the aggregate memo through temperature
-// and rail-target changes: every evaluation on the warm table must be
-// identical to one from a cold table built fresh at the same operating
-// point, i.e. the quantized-key memo may never serve a stale entry.
-func TestRatesInvalidation(t *testing.T) {
-	a, lines := buildLines(11)
-	warm := kernel.Build(a, variation.KindL2D, lines)
-	vmax := lines[0].Profile.Vmax()
-
-	check := func(label string, v float64) {
-		t.Helper()
-		ps, pu, set, way := warm.Rates(v, false)
-		cold := kernel.Build(a, variation.KindL2D, lines)
-		cps, cpu, cset, cway := cold.Rates(v, false)
-		if ps != cps || pu != cpu || set != cset || way != cway {
-			t.Fatalf("%s: warm Rates (%g, %g, %d, %d) differs from cold (%g, %g, %d, %d)",
-				label, ps, pu, set, way, cps, cpu, cset, cway)
-		}
-	}
-
-	v1, v2 := vmax-0.03, vmax-0.045
-	check("initial", v1)
-	check("cached re-read", v1)
-
-	// Rail-target change: a new setpoint lands in a different quantized
-	// bucket and must be computed, not served from the v1 entry.
-	check("rail target change", v2)
-	check("rail target revert", v1)
-
-	// Temperature change at an unchanged rail target: the quantized
-	// temperature is part of the key, so the v1 entries cached at the
-	// old temperature must not satisfy this lookup.
-	a.SetTemperature(a.Temperature() + 12.5)
-	check("temperature change", v1)
-	check("temperature change, second target", v2)
-
-	// Sub-bucket jitter: moving within one quantization bucket is the
-	// one case the memo is allowed to coalesce, and the cold table
-	// quantizes identically, so equality must still hold.
-	check("sub-bucket jitter", v1+1e-5)
-}

@@ -103,12 +103,11 @@ func (l Load) Add(other Load, p Params) Load {
 
 // Rail is one independently regulated supply line.
 type Rail struct {
-	name     string
-	p        Params
-	fRes     float64
-	target   float64
-	disturb  float64
-	onChange []func()
+	name    string
+	p       Params
+	fRes    float64
+	target  float64
+	disturb float64
 }
 
 // NewRail constructs a rail. The chip seed and rail id determine the
@@ -140,24 +139,8 @@ func (r *Rail) Target() float64 { return r.target }
 func (r *Rail) SetTarget(v float64) float64 {
 	v = math.Round(v/r.p.StepV) * r.p.StepV
 	v = clamp(v, r.p.VMin, r.p.VMax)
-	if v != r.target {
-		r.target = v
-		r.notify()
-	}
+	r.target = v
 	return r.target
-}
-
-// OnChange registers fn to run whenever the rail's electrical state
-// actually changes — a setpoint move or an injected disturbance. The
-// chip uses this to drop out of adaptive-fidelity fast-forward the
-// moment any actor (controller, experiment sweep, fault injection)
-// touches a rail.
-func (r *Rail) OnChange(fn func()) { r.onChange = append(r.onChange, fn) }
-
-func (r *Rail) notify() {
-	for _, fn := range r.onChange {
-		fn()
-	}
 }
 
 // StepDown lowers the setpoint by n regulator steps.
@@ -200,10 +183,7 @@ func (r *Rail) Impedance(f float64) float64 {
 // negative value models overshoot. Fault injection
 // (internal/faultinject) drives this.
 func (r *Rail) SetDisturbance(d float64) {
-	if d != r.disturb {
-		r.disturb = d
-		r.notify()
-	}
+	r.disturb = d
 }
 
 // Disturbance returns the currently injected external droop in volts.

@@ -46,10 +46,9 @@ type OptionsState struct {
 	// system. Empty (pre-policy blobs and the default) means the paper
 	// ladder, so historical snapshots restore unchanged.
 	Policy string `json:"policy,omitempty"`
-	// Fidelity names the event-sampling fidelity. Empty (pre-fidelity
-	// blobs and the default) means full fidelity, so historical
-	// snapshots restore unchanged and full-fidelity blobs keep their
-	// shape.
+	// Fidelity is decode-only. Blobs of the removed adaptive-fidelity
+	// mode carry it, and Restore refuses them; exact-sampling blobs
+	// never wrote it.
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
@@ -133,7 +132,6 @@ func Capture(sim *eccspec.Simulator) (*State, error) {
 			FullGeometry:     o.FullGeometry,
 			Workload:         o.Workload,
 			Policy:           polName,
-			Fidelity:         o.Fidelity,
 		},
 		Ticks:   sim.Ticks(),
 		Chip:    sim.Chip().CaptureState(),
@@ -160,13 +158,15 @@ func Restore(st *State) (*eccspec.Simulator, error) {
 	if _, ok := policy.Get(policy.Resolve(st.Options.Policy)); !ok {
 		return nil, fmt.Errorf("snapshot: unknown policy %q", st.Options.Policy)
 	}
+	if st.Options.Fidelity != "" {
+		return nil, fmt.Errorf("snapshot: blob ran at fidelity %q, a mode that was removed; only exact per-line sampling remains", st.Options.Fidelity)
+	}
 	sim, err := eccspec.NewSimulator(eccspec.Options{
 		Seed:             st.Options.Seed,
 		HighVoltagePoint: st.Options.HighVoltagePoint,
 		FullGeometry:     st.Options.FullGeometry,
 		Workload:         st.Options.Workload,
 		Policy:           st.Options.Policy,
-		Fidelity:         st.Options.Fidelity,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
