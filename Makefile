@@ -87,5 +87,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzJournalRecover -fuzztime=10s -run '^$$' ./internal/store
 	$(GO) test -fuzz=FuzzSubmitFleet -fuzztime=10s -run '^$$' ./cmd/eccspecd
 
+# eccbench is a module of its own, so the root `go vet ./...` does not
+# reach it.
 vet:
 	$(GO) vet ./...
+	cd eccbench && $(GO) vet ./...

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"eccspec/internal/chip"
@@ -20,11 +21,21 @@ import (
 )
 
 func main() {
-	seed := flag.Uint64("seed", 1, "chip seed")
-	full := flag.Bool("full", false, "full Table I cache geometry")
-	high := flag.Bool("high", false, "use the 2.53 GHz / 1.1 V operating point")
-	aged := flag.Float64("aged", 0, "pre-age the SRAM arrays by this many hours")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "calibrate:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, calibrates the chip and writes the weak-line map to
+// w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
+	seed := fs.Uint64("seed", 1, "chip seed")
+	full := fs.Bool("full", false, "full Table I cache geometry")
+	high := fs.Bool("high", false, "use the 2.53 GHz / 1.1 V operating point")
+	aged := fs.Float64("aged", 0, "pre-age the SRAM arrays by this many hours")
+	fs.Parse(args)
 
 	c := chip.New(chip.DefaultParams(*seed, !*high, *full))
 	for _, co := range c.Cores {
@@ -38,26 +49,26 @@ func main() {
 	ctl := control.New(c, control.DefaultConfig())
 	assigns, err := ctl.Calibrate()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "calibrate:", err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("chip seed %d, %s point, %d domains", *seed, c.P.Point.Name, len(c.Domains))
+	fmt.Fprintf(w, "chip seed %d, %s point, %d domains", *seed, c.P.Point.Name, len(c.Domains))
 	if *aged > 0 {
-		fmt.Printf(", aged %.0f h", *aged)
+		fmt.Fprintf(w, ", aged %.0f h", *aged)
 	}
-	fmt.Println()
-	fmt.Println()
+	fmt.Fprintln(w)
+	fmt.Fprintln(w)
 	for _, a := range assigns {
 		co := c.Cores[a.Core]
 		arr := co.CacheOf(a.Kind).Array()
 		p := arr.LineProfile(a.Set, a.Way)
-		fmt.Printf("%s\n", a)
-		fmt.Printf("  weakest cell Vcrit %.3f V, double-bit point %.3f V, logic floor %.3f V\n",
+		fmt.Fprintf(w, "%s\n", a)
+		fmt.Fprintf(w, "  weakest cell Vcrit %.3f V, double-bit point %.3f V, logic floor %.3f V\n",
 			p.Vmax(), p.PairVcrit(), co.LogicVmin())
-		fmt.Printf("  speculation margin below onset: %.0f mV\n\n",
+		fmt.Fprintf(w, "  speculation margin below onset: %.0f mV\n\n",
 			1000*(a.OnsetV-maxf(p.PairVcrit(), co.LogicVmin())))
 	}
+	return nil
 }
 
 func maxf(a, b float64) float64 {

@@ -13,6 +13,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"eccspec/internal/chip"
 	"eccspec/internal/control"
@@ -21,12 +23,18 @@ import (
 )
 
 func main() {
-	seed := flag.Uint64("seed", 1, "chip seed")
-	offsetMV := flag.Float64("offset", 150, "voltage offset below nominal, in mV")
-	seconds := flag.Float64("seconds", 2.0, "simulated run time")
-	top := flag.Int("top", 12, "show the K most active lines")
-	full := flag.Bool("full", false, "full Table I cache geometry")
-	flag.Parse()
+	run(os.Args[1:], os.Stdout)
+}
+
+// run parses args, runs the chip and writes its error profile to w.
+func run(args []string, w io.Writer) {
+	fs := flag.NewFlagSet("errprofile", flag.ExitOnError)
+	seed := fs.Uint64("seed", 1, "chip seed")
+	offsetMV := fs.Float64("offset", 150, "voltage offset below nominal, in mV")
+	seconds := fs.Float64("seconds", 2.0, "simulated run time")
+	top := fs.Int("top", 12, "show the K most active lines")
+	full := fs.Bool("full", false, "full Table I cache geometry")
+	fs.Parse(args)
 
 	c := chip.New(chip.DefaultParams(*seed, true, *full))
 	for _, co := range c.Cores {
@@ -48,27 +56,27 @@ func main() {
 	})
 
 	reported, suppressed := c.MCA.Counts()
-	fmt.Printf("chip seed %d at %.0f mV below nominal for %.1f s\n", *seed, *offsetMV, *seconds)
-	fmt.Printf("%d reports logged, %d raw events folded by CMCI throttling\n\n",
+	fmt.Fprintf(w, "chip seed %d at %.0f mV below nominal for %.1f s\n", *seed, *offsetMV, *seconds)
+	fmt.Fprintf(w, "%d reports logged, %d raw events folded by CMCI throttling\n\n",
 		reported, suppressed)
 
 	prof := c.MCA.Profile()
 	if len(prof) == 0 {
-		fmt.Println("no correctable errors at this offset — try a larger -offset")
+		fmt.Fprintln(w, "no correctable errors at this offset — try a larger -offset")
 		return
 	}
-	fmt.Printf("%-6s %-8s %-5s %-4s %-8s %-7s\n", "core", "bank", "set", "way", "reports", "events")
+	fmt.Fprintf(w, "%-6s %-8s %-5s %-4s %-8s %-7s\n", "core", "bank", "set", "way", "reports", "events")
 	shown := *top
 	if shown > len(prof) {
 		shown = len(prof)
 	}
 	for _, pe := range prof[:shown] {
-		fmt.Printf("core%-2d %-8s %-5d %-4d %-8d %-7d\n",
+		fmt.Fprintf(w, "core%-2d %-8s %-5d %-4d %-8d %-7d\n",
 			pe.Core, pe.Bank, pe.Set, pe.Way, pe.Events, pe.Total)
 	}
 	if len(prof) > shown {
-		fmt.Printf("... and %d more lines\n", len(prof)-shown)
+		fmt.Fprintf(w, "... and %d more lines\n", len(prof)-shown)
 	}
-	fmt.Printf("\ndistinct lines reporting: %d (out of %d L2 lines per core)\n",
+	fmt.Fprintf(w, "\ndistinct lines reporting: %d (out of %d L2 lines per core)\n",
 		len(prof), c.P.Hier.L2D.Sets*c.P.Hier.L2D.Ways+c.P.Hier.L2I.Sets*c.P.Hier.L2I.Ways)
 }

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"eccspec/internal/chip"
@@ -21,20 +22,26 @@ import (
 )
 
 func main() {
-	seed := flag.Uint64("seed", 1, "chip seed")
-	full := flag.Bool("full", false, "full Table I cache geometry")
-	high := flag.Bool("high", false, "use the 2.53 GHz / 1.1 V operating point")
-	ticks := flag.Int("ticks", 30, "control ticks to dwell per voltage level")
-	flag.Parse()
+	run(os.Args[1:], os.Stdout)
+}
+
+// run parses args, characterizes every core and writes the table to w.
+func run(args []string, w io.Writer) {
+	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	seed := fs.Uint64("seed", 1, "chip seed")
+	full := fs.Bool("full", false, "full Table I cache geometry")
+	high := fs.Bool("high", false, "use the 2.53 GHz / 1.1 V operating point")
+	ticks := fs.Int("ticks", 30, "control ticks to dwell per voltage level")
+	fs.Parse(args)
 
 	c := chip.New(chip.DefaultParams(*seed, !*high, *full))
 	for _, co := range c.Cores {
 		co.SetWorkload(workload.Idle(), *seed)
 	}
 	nominal := c.P.Point.NominalVdd
-	fmt.Printf("chip seed %d, %s point, nominal %.3f V, %d ticks/level\n\n",
+	fmt.Fprintf(w, "chip seed %d, %s point, nominal %.3f V, %d ticks/level\n\n",
 		*seed, c.P.Point.Name, nominal, *ticks)
-	fmt.Printf("%-6s  %-11s  %-10s  %-14s  %-10s\n",
+	fmt.Fprintf(w, "%-6s  %-11s  %-10s  %-14s  %-10s\n",
 		"core", "first error", "min safe", "error-free", "corr range")
 
 	for id := range c.Cores {
@@ -44,7 +51,7 @@ func main() {
 			errFree = fmt.Sprintf("%.0f mV", 1000*(nominal-s.firstErr))
 			corr = fmt.Sprintf("%.0f mV", 1000*(s.firstErr-s.minSafe))
 		}
-		fmt.Printf("core %d  %-11s  %-10s  %-14s  %-10s\n",
+		fmt.Fprintf(w, "core %d  %-11s  %-10s  %-14s  %-10s\n",
 			id, fmtV(s.firstErr), fmtV(s.minSafe), errFree, corr)
 	}
 }

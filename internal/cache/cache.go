@@ -144,10 +144,16 @@ func (c *Cache) tagOf(addr uint64) uint64 {
 
 // lineAt returns the line storage at (set, way).
 func (c *Cache) lineAt(set, way int) *line {
+	return &c.storage()[set*c.cfg.Ways+way]
+}
+
+// storage returns every line's storage in set/way order, allocating it
+// on first use.
+func (c *Cache) storage() []line {
 	if c.lines == nil {
 		c.lines = make([]line, c.cfg.Sets*c.cfg.Ways)
 	}
-	return &c.lines[set*c.cfg.Ways+way]
+	return c.lines
 }
 
 // Lookup reports whether addr is resident and in which way.
@@ -352,21 +358,42 @@ func (c *Cache) ProbeLine(set, way int, v float64) ReadResult {
 	return res
 }
 
-// SkipQuietReads stands in for n ReadLine calls on line (set, way) at
-// voltage v when the line is provably quiet there (sram.Array.Quiet):
-// each such read is clean, raises no event, draws nothing from the
-// fault stream and leaves the counters alone, so only the LRU clock and
-// the line's last use advance, exactly as the n reads would advance
-// them. It reports false, changing nothing, when the line could flip.
-func (c *Cache) SkipQuietReads(set, way int, v float64, n int) bool {
-	if !c.arr.Quiet(set, way, v) {
-		return false
+// CalibrationSweep is one step of the calibration sweep at probe
+// voltage v: in set/way order, write img into every enabled line
+// (WriteLineEncoded) and read it back reads times (ReadLine), stopping
+// at the first line whose read reports an ECC event, which it returns.
+// Only a line that could flip at v is read: a read of a line whose
+// effective voltage clears its sram.Array.CleanColumn entry is clean,
+// raises no event, draws nothing from the fault stream and leaves the
+// counters alone, so for such a line only the LRU clock and its last
+// use advance, exactly as the reads would advance them. At the sweep's
+// early steps that is every line.
+func (c *Cache) CalibrationSweep(img *[sram.WordsPerLine]ecc.Codeword, v float64, reads int) (set, way int, found bool) {
+	clean := c.arr.CleanColumn()
+	vEff := c.arr.EffectiveVoltage(v)
+	quietReads := uint64(max(reads, 0))
+	for i := range c.storage() {
+		ln := &c.lines[i]
+		if ln.disabled {
+			continue
+		}
+		ln.words = *img
+		ln.valid = true
+		c.clock++
+		if vEff > clean[i] {
+			c.clock += quietReads
+			ln.lastUse = c.clock
+			continue
+		}
+		ln.lastUse = c.clock
+		set, way := i/c.cfg.Ways, i%c.cfg.Ways
+		for r := 0; r < reads; r++ {
+			if len(c.ReadLine(set, way, v).Events) > 0 {
+				return set, way, true
+			}
+		}
 	}
-	if n > 0 {
-		c.clock += uint64(n)
-		c.lineAt(set, way).lastUse = c.clock
-	}
-	return true
+	return 0, 0, false
 }
 
 // Access performs an address-based read access at voltage v. On a hit the

@@ -1,19 +1,19 @@
 package cache
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"eccspec/internal/ecc"
 	"eccspec/internal/sram"
 	"eccspec/internal/variation"
 )
 
-// calibSweep is the calibration sweep's inner loop over one cache at
-// probe voltage v: write a pattern into each enabled line, then read it
-// back reads times, stopping at the first line that reports an event.
-// With skipQuiet it lets SkipQuietReads stand in for the reads of
-// quiet lines, as the control system's sweep does; without, it is the
-// per-read oracle.
-func calibSweep(c *Cache, v float64, reads int, skipQuiet bool) (set, way int, found bool) {
+// calibSweep is the per-read oracle of CalibrationSweep: write the
+// pattern into each enabled line, then read it back reads times,
+// stopping at the first line that reports an event.
+func calibSweep(c *Cache, v float64, reads int) (set, way int, found bool) {
 	var data [sram.WordsPerLine]uint64
 	for i := range data {
 		data[i] = 0x5555555555555555
@@ -24,9 +24,6 @@ func calibSweep(c *Cache, v float64, reads int, skipQuiet bool) (set, way int, f
 				continue
 			}
 			c.WriteLine(set, way, data)
-			if skipQuiet && c.SkipQuietReads(set, way, v, reads) {
-				continue
-			}
 			for r := 0; r < reads; r++ {
 				if len(c.ReadLine(set, way, v).Events) > 0 {
 					return set, way, true
@@ -62,30 +59,57 @@ func sameCacheState(t *testing.T, step string, got, want *Cache) {
 }
 
 // TestSkipQuietReadsMatchesReadLoop sweeps the same L2 twice, stepping
-// the probe voltage down from nominal past the first error, once with
-// quiet lines skipped and once with every read performed, and requires
-// identical caches and fault streams after every step.
+// the probe voltage down from nominal past the first errors, once with
+// CalibrationSweep and once with every read performed, and requires
+// identical caches and fault streams after every step. The caches hold
+// filled lines and disabled (monitor) lines, and halfway through both
+// arrays are aged, which must rebuild the clean column the sweep skips
+// by.
 func TestSkipQuietReadsMatchesReadLoop(t *testing.T) {
 	cfg := Config{Name: "L2D", Kind: variation.KindL2D, Sets: 64, Ways: 8, HitLatency: 9}
+	var img [sram.WordsPerLine]ecc.Codeword
+	for i := range img {
+		img[i] = ecc.Encode(0x5555555555555555)
+	}
 	for _, seed := range []uint64{3, 29, 40003} {
 		for _, tempC := range []float64{40, 71.5} {
 			m := testModel(seed)
 			fast, oracle := New(cfg, 2, m), New(cfg, 2, m)
 			for _, c := range []*Cache{fast, oracle} {
 				c.Array().SetTemperature(tempC)
+				for i := uint64(0); i < 40; i++ {
+					c.Fill(i * 0x2340)
+				}
+				c.DisableLine(0, 0)
 				c.DisableLine(5, 3)
+				c.DisableLine(cfg.Sets-1, cfg.Ways-1)
 			}
-			skipped, finds := 0, 0
+			arr := fast.Array()
+			skipped, finds, aged := 0, 0, false
 			for v := 0.800; v >= 0.45 && finds < 6; v -= 0.005 {
-				for set := 0; set < cfg.Sets; set++ {
-					for way := 0; way < cfg.Ways; way++ {
-						if fast.Array().Quiet(set, way, v) {
-							skipped++
+				if finds == 3 && !aged {
+					before := slices.Clone(arr.CleanColumn())
+					arr.SetAge(20000)
+					oracle.Array().SetAge(20000)
+					after := arr.CleanColumn()
+					for i, c := range after {
+						if want := arr.LineProfile(i/cfg.Ways, i%cfg.Ways).CleanAbove(); c != want {
+							t.Fatalf("seed %d: aged line %d clean at %.6f V, its profile's at %.6f V", seed, i, c, want)
 						}
 					}
+					if slices.Equal(before, after) {
+						t.Fatalf("seed %d: aging left the clean column as it was", seed)
+					}
+					aged = true
 				}
-				fs, fw, ff := calibSweep(fast, v, 4, true)
-				oset, oway, ofound := calibSweep(oracle, v, 4, false)
+				vEff := arr.EffectiveVoltage(v)
+				for _, c := range arr.CleanColumn() {
+					if vEff > c {
+						skipped++
+					}
+				}
+				fs, fw, ff := fast.CalibrationSweep(&img, v, 4)
+				oset, oway, ofound := calibSweep(oracle, v, 4)
 				if fs != oset || fw != oway || ff != ofound {
 					t.Fatalf("seed %d %.1fC at %.3f V: sweep found %d/%d %v, oracle %d/%d %v",
 						seed, tempC, v, fs, fw, ff, oset, oway, ofound)
@@ -93,10 +117,11 @@ func TestSkipQuietReadsMatchesReadLoop(t *testing.T) {
 				if ff {
 					finds++
 				}
-				sameCacheState(t, "after sweep", fast, oracle)
+				sameCacheState(t, fmt.Sprintf("seed %d %.1fC after the sweep at %.3f V", seed, tempC, v), fast, oracle)
 			}
-			if skipped == 0 || finds == 0 {
-				t.Fatalf("seed %d: %d quiet lines and %d finds; the sweep exercised only one path", seed, skipped, finds)
+			if skipped == 0 || finds < 6 || !aged {
+				t.Fatalf("seed %d: %d quiet lines, %d finds, aged %v; the sweep did not exercise every path",
+					seed, skipped, finds, aged)
 			}
 		}
 	}

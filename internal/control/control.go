@@ -316,37 +316,22 @@ func (s *System) Assignment(domain int) (Assignment, bool) {
 	return a, ok
 }
 
-// sweepCache performs one calibration pass over a cache at probe voltage
-// v: write a pattern and read each line back CalibReadsPerLine times,
-// stopping at the first line that reports a correctable error. A line
-// that provably cannot flip at v has its reads stand in by
-// cache.SkipQuietReads, which leaves the cache and the fault stream
-// exactly as the reads would; at the sweep's early steps that is nearly
-// every line.
-func (s *System) sweepCache(c *cache.Cache, v float64) (set, way int, found bool) {
-	cfg := c.Config()
-	var img [sram.WordsPerLine]ecc.Codeword
+// calibImage is the line image every calibration sweep writes: the
+// 0x5555... test pattern in each codeword.
+var calibImage = func() (img [sram.WordsPerLine]ecc.Codeword) {
 	for i := range img {
 		img[i] = ecc.Encode(0x5555555555555555)
 	}
-	for set := 0; set < cfg.Sets; set++ {
-		for way := 0; way < cfg.Ways; way++ {
-			if c.LineDisabled(set, way) {
-				continue
-			}
-			c.WriteLineEncoded(set, way, &img)
-			if c.SkipQuietReads(set, way, v, s.Cfg.CalibReadsPerLine) {
-				continue
-			}
-			for r := 0; r < s.Cfg.CalibReadsPerLine; r++ {
-				res := c.ReadLine(set, way, v)
-				if len(res.Events) > 0 {
-					return set, way, true
-				}
-			}
-		}
-	}
-	return 0, 0, false
+	return img
+}()
+
+// sweepCache performs one calibration pass over a cache at probe voltage
+// v: write a pattern and read each line back CalibReadsPerLine times,
+// stopping at the first line that reports a correctable error
+// (cache.Cache.CalibrationSweep, which skips the reads of lines that
+// provably cannot flip at v).
+func (s *System) sweepCache(c *cache.Cache, v float64) (set, way int, found bool) {
+	return c.CalibrationSweep(&calibImage, v, s.Cfg.CalibReadsPerLine)
 }
 
 // FindOnset locates the weakest L2 line among the domain's cores by

@@ -28,7 +28,7 @@ func (a *Array) UncorrectableProbability(set, way int, v float64) float64 {
 // statistical workload model.
 func (a *Array) ErrorProbabilities(set, way int, v float64) (pSingle, pUncorrectable float64) {
 	p := a.LineProfile(set, way)
-	vEff := v - a.Model.TempShift(a.tempC)
+	vEff := a.EffectiveVoltage(v)
 	var first, second [WordsPerLine]float64
 	anyClean := 1.0
 	for _, b := range p.Bits {

@@ -87,10 +87,6 @@ func (b WeakBit) CodewordPos() int { return b.Pos % ecc.CodewordBits }
 // Vcrit (weakest cell first).
 type Profile struct {
 	Bits []WeakBit
-	// clean caches CleanAbove for Array.Quiet, which the calibration
-	// sweep asks of every line at every step; set when the array
-	// scans the line.
-	clean float64
 }
 
 // Vmax returns the line's highest critical voltage — the voltage at which
@@ -162,6 +158,11 @@ type Array struct {
 	// Allocated on first use, so arrays nobody profiles (most L1s and
 	// the L3) cost nothing; dropped by SetAge.
 	profiles []*Profile
+	// clean is the column of the profiles' CleanAbove, indexed and
+	// allocated like profiles and set as each line is scanned;
+	// profiled counts the scanned lines. See CleanColumn.
+	clean    []float64
+	profiled int
 	// lastKey/lastProf short-circuit the profile lookup for the most
 	// recently profiled line — the monitor reads its watched line
 	// dozens of times per tick. Cleared by SetAge with the profiles.
@@ -229,7 +230,7 @@ func (a *Array) Temperature() float64 { return a.tempC }
 func (a *Array) SetAge(hours float64) {
 	if hours != a.ageHours {
 		a.ageHours = hours
-		a.profiles = nil
+		a.profiles, a.clean, a.profiled = nil, nil, 0
 		a.lastProf = nil
 	}
 }
@@ -259,6 +260,7 @@ func (a *Array) LineProfile(set, way int) *Profile {
 	}
 	if a.profiles == nil {
 		a.profiles = make([]*Profile, a.Lines())
+		a.clean = make([]float64, a.Lines())
 	}
 	p := a.profiles[key]
 	if p == nil {
@@ -267,20 +269,33 @@ func (a *Array) LineProfile(set, way int) *Profile {
 		} else {
 			p = a.scanLineRanked(set, way)
 		}
-		p.clean = p.CleanAbove()
 		a.profiles[key] = p
+		a.clean[key] = p.CleanAbove()
+		a.profiled++
 	}
 	a.lastKey, a.lastProf = key, p
 	return p
 }
 
-// Quiet reports whether a read of line (set, way) at voltage v provably
-// flips nothing: the effective voltage sits above every profiled cell's
-// CleanAbove, so each flip probability is exactly zero and SampleFlips
-// would draw nothing from the fault stream.
-func (a *Array) Quiet(set, way int, v float64) bool {
-	return v-a.Model.TempShift(a.tempC) > a.LineProfile(set, way).clean
+// CleanColumn returns every line's Profile.CleanAbove, indexed by
+// set*Ways+way, profiling the lines not yet profiled. A read of a line
+// at an effective voltage (EffectiveVoltage) above its entry provably
+// flips nothing: each flip probability is exactly zero, so SampleFlips
+// would draw nothing from the fault stream. The column is the array's
+// own, built with its profiles and rebuilt after SetAge; callers must
+// not modify it.
+func (a *Array) CleanColumn() []float64 {
+	for key := 0; a.profiled < a.Lines(); key++ {
+		if a.profiles == nil || a.profiles[key] == nil {
+			a.LineProfile(key/a.Ways, key%a.Ways)
+		}
+	}
+	return a.clean
 }
+
+// EffectiveVoltage returns the voltage the array's cells see at supply
+// v: v less the current temperature shift.
+func (a *Array) EffectiveVoltage(v float64) float64 { return v - a.Model.TempShift(a.tempC) }
 
 // wordTop keeps one codeword's weakBitsPerWord highest-Vcrit cells in
 // descending order. Among equal Vcrit, the cell offered first ranks
@@ -363,50 +378,107 @@ const rankedFloor = 1<<52 + candidateWindow
 
 // scanLineRanked computes the same profile as scanLine for an unaged
 // line. It draws each cell's raw hash with one rng.Extend of the line's
-// cached prefix, ranks each word's cells by it, and evaluates the
-// normal deviate (the scan's dominant cost) only for the cells within
-// candidateWindow of the word's second-highest hash — two, almost
-// always. Offering those in position order reproduces scanLine's
-// insertion exactly, since every other cell ranks below both
-// top-ranked cells in Vcrit.
+// cached prefix and keeps, in one branch-free pass per word, the
+// word's three highest (rankWord). The normal deviate, dearer than the
+// hash, is then evaluated for the two top-ranked cells only: every
+// other cell ranks below both in Vcrit once the third lies more than
+// candidateWindow below the second (keyTop3.pick). That fails about
+// once in 10^8 words, and then candidateWord runs over the re-hashed
+// word. Either way wordTop's insertion is reproduced exactly.
 func (a *Array) scanLineRanked(set, way int) *Profile {
 	d := a.Model.LineDraws(a.Core, a.Kind, set, way)
 	// Every word has more than weakBitsPerWord cells, so the profile
 	// size is fixed.
 	p := a.newProfile(WordsPerLine * weakBitsPerWord)
 	bits := p.Bits
-	var raw [ecc.CodewordBits]uint64
 	for w := 0; w < WordsPerLine; w++ {
-		keys := bitMix[w*ecc.CodewordBits : (w+1)*ecc.CodewordBits]
-		var r1, r2 uint64 // the two highest raw hashes, r1 >= r2
-		for cw, km := range keys {
-			r := d.RandomHash(km) >> 11
-			raw[cw] = r
-			if r > r2 {
-				if r > r1 {
-					r1, r2 = r, r1
-				} else {
-					r2 = r
-				}
+		mixes := (*[ecc.CodewordBits]uint64)(bitMix[w*ecc.CodewordBits:])
+		t := rankWord(&d, mixes)
+		out := (*[weakBitsPerWord]WeakBit)(bits[w*weakBitsPerWord:])
+		if !t.pick(&d, a.base, w, out) {
+			var raw [ecc.CodewordBits]uint64
+			for cw, km := range mixes {
+				raw[cw] = d.RandomHash(km) >> 11
 			}
+			candidateWord(&raw, t.k2>>cellBits, &d, a.base, w, out)
 		}
-		lo := uint64(0)
-		if r2 >= rankedFloor {
-			lo = r2 - candidateWindow
-		}
-		var top wordTop
-		for cw, r := range raw {
-			if r >= lo {
-				top.offer(w*ecc.CodewordBits+cw, a.base+d.Random(r<<11))
-			}
-		}
-		copy(bits[w*weakBitsPerWord:], top.bits[:])
 	}
 	for i := range bits {
 		bits[i].Width = d.Width(bitMix[bits[i].Pos])
 	}
 	sortByVcritDesc(bits)
 	return p
+}
+
+// cellBits is how many low bits of a packed cell key (see keyTop3)
+// hold the cell's position within its codeword.
+const cellBits = 7
+
+// keyTop3 keeps a word's three highest packed cell keys, k1 > k2 > k3.
+// A key is a cell's raw hash (the hash's top 53 bits) shifted up by
+// cellBits over its codeword position, so keys order cells by raw hash
+// and are distinct within a word. push is branch-free: whether a cell
+// ranks high is a coin flip, which a branch would mispredict.
+type keyTop3 struct{ k1, k2, k3 uint64 }
+
+func (t keyTop3) push(k uint64) keyTop3 {
+	return keyTop3{max(t.k1, k), max(t.k2, min(t.k1, k)), max(t.k3, min(t.k2, k))}
+}
+
+// rankWord returns the top keys of the word whose cells' bit key mixes
+// are mixes. It is a function of its own so that its loop, run for
+// every cell of a specimen, keeps its few values in registers.
+func rankWord(d *variation.LineDraws, mixes *[ecc.CodewordBits]uint64) keyTop3 {
+	var t keyTop3
+	for cw, km := range mixes {
+		t = t.push(d.RandomHash(km)>>11<<cellBits | uint64(cw))
+	}
+	return t
+}
+
+// pick writes word w's two weakest cells to out, ordered as wordTop
+// orders them when offered in position order, if the word's top keys
+// decide them: the second raw hash is at least rankedFloor and the
+// third lies more than candidateWindow below it, so the two top-ranked
+// cells are the word's only candidates. Otherwise it reports false and
+// leaves out alone.
+func (t keyTop3) pick(d *variation.LineDraws, base float64, w int, out *[weakBitsPerWord]WeakBit) bool {
+	r2 := t.k2 >> cellBits
+	if r2 < rankedFloor || t.k3>>cellBits >= r2-candidateWindow {
+		return false
+	}
+	const posMask = 1<<cellBits - 1
+	first := WeakBit{Pos: w*ecc.CodewordBits + int(t.k1&posMask), Vcrit: base + d.Random(t.k1>>cellBits<<11)}
+	second := WeakBit{Pos: w*ecc.CodewordBits + int(t.k2&posMask), Vcrit: base + d.Random(r2<<11)}
+	if second.Pos < first.Pos {
+		first, second = second, first
+	}
+	// The cell offered later ranks first only on a strictly higher
+	// Vcrit.
+	if second.Vcrit > first.Vcrit {
+		first, second = second, first
+	}
+	out[0], out[1] = first, second
+	return true
+}
+
+// candidateWord is the ranked scan's pass for a word pick leaves
+// undecided. Given the word's raw hashes and the second-highest of
+// them, it offers wordTop, in position order, every cell within
+// candidateWindow of that second hash, or every cell when the second
+// hash is below rankedFloor.
+func candidateWord(raw *[ecc.CodewordBits]uint64, r2 uint64, d *variation.LineDraws, base float64, w int, out *[weakBitsPerWord]WeakBit) {
+	lo := uint64(0)
+	if r2 >= rankedFloor {
+		lo = r2 - candidateWindow
+	}
+	var top wordTop
+	for cw, r := range raw {
+		if r >= lo {
+			top.offer(w*ecc.CodewordBits+cw, base+d.Random(r<<11))
+		}
+	}
+	*out = top.bits
 }
 
 // profileSlabLines is how many lines' profiles newProfile carves from
@@ -474,7 +546,7 @@ func (a *Array) SampleFlips(set, way int, v float64) []int {
 		// exact draw sequence an unmemoized scan would produce.
 		m.profile, m.v, m.tempC = p, v, a.tempC
 		m.pfs, m.pos = m.pfs[:0], m.pos[:0]
-		vEff := v - a.Model.TempShift(a.tempC)
+		vEff := a.EffectiveVoltage(v)
 		for _, b := range p.Bits {
 			pf := variation.FlipProbability(b.Vcrit, b.Width, vEff)
 			if pf <= 0 {
@@ -508,7 +580,7 @@ func (a *Array) SampleFlips(set, way int, v float64) []int {
 // for analytic characterization (Fig. 13-style curves) without sampling.
 func (a *Array) FlipProbability(set, way int, v float64) float64 {
 	p := a.LineProfile(set, way)
-	vEff := v - a.Model.TempShift(a.tempC)
+	vEff := a.EffectiveVoltage(v)
 	clean := 1.0
 	for _, b := range p.Bits {
 		clean *= 1 - variation.FlipProbability(b.Vcrit, b.Width, vEff)

@@ -272,12 +272,22 @@ func TestLinesCount(t *testing.T) {
 	}
 }
 
+// BenchmarkLineProfileScan characterizes one whole array per op, as a
+// chip's specimen build does, and reports the cost per line: the
+// array's profile index and slabs are shared by its 512 lines.
 func BenchmarkLineProfileScan(b *testing.B) {
 	m := variation.New(42, variation.LowVoltage())
+	lines := 0
 	for i := 0; i < b.N; i++ {
-		a := NewArray(m, 0, variation.KindL2D, 64, 8)
-		a.LineProfile(i%64, i%8)
+		a := NewArray(m, i%8, variation.KindL2D, 64, 8)
+		for s := 0; s < a.Sets; s++ {
+			for w := 0; w < a.Ways; w++ {
+				a.LineProfile(s, w)
+			}
+		}
+		lines += a.Lines()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lines), "ns/line")
 }
 
 func BenchmarkSampleFlips(b *testing.B) {
