@@ -315,6 +315,119 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
+// TestCancelCountsOnceAtEveryTiming DELETEs a job at each of the three
+// moments a client can hit it: while it runs, while it waits in the
+// queue, and after the runner has popped it but before it started.
+// Every timing must end the same way: canceled by the client, counted
+// once in jobs_canceled_total and once in jobs_failed_total, never in
+// jobs_done_total, and never simulated.
+func TestCancelCountsOnceAtEveryTiming(t *testing.T) {
+	stub := &stubRunner{gate: make(chan struct{})}
+	s, ts := newStubServer(t, stub, serverConfig{queueDepth: 4})
+
+	submit := func(seed int) string {
+		t.Helper()
+		code, sub := postFleet(t, ts, fmt.Sprintf(`{"seeds":[%d],"seconds":0.01}`, seed))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d: %v", code, sub)
+		}
+		return sub["id"].(string)
+	}
+	cancel := func(id string, wantCode int) {
+		t.Helper()
+		req, _ := http.NewRequest("DELETE", ts.URL+"/v1/fleets/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != wantCode {
+			t.Fatalf("DELETE %s: HTTP %d, want %d", id, resp.StatusCode, wantCode)
+		}
+	}
+	expect := func(id string, done, failed, canceled float64) {
+		t.Helper()
+		waitStatus(t, ts, id, statusCanceled)
+		if _, st := getJSON(t, ts.URL+"/v1/fleets/"+id); st["error"] != "canceled by client" {
+			t.Errorf("%s error = %v, want \"canceled by client\"", id, st["error"])
+		}
+		page := []byte(metricsText(t, ts.URL))
+		for name, want := range map[string]float64{
+			"eccspecd_jobs_done_total":     done,
+			"eccspecd_jobs_failed_total":   failed,
+			"eccspecd_jobs_canceled_total": canceled,
+		} {
+			if got, _ := metricValue(t, page, name); got != want {
+				t.Errorf("after canceling %s: %s = %v, want %v", id, name, got, want)
+			}
+		}
+	}
+
+	// Running: the DELETE cancels the simulation under way.
+	running := submit(1)
+	waitStatus(t, ts, running, statusRunning)
+	cancel(running, http.StatusAccepted)
+	expect(running, 0, 1, 1)
+
+	// Queued behind a running job: the DELETE removes it from the queue.
+	blocker := submit(2)
+	waitStatus(t, ts, blocker, statusRunning)
+	queued := submit(3)
+	cancel(queued, http.StatusOK)
+	expect(queued, 0, 2, 2)
+
+	// Raced pop: the job has left the queue, exactly as the runner's Pop
+	// takes it, so the DELETE finds it queued but cannot remove it; the
+	// runner then starts the job it popped.
+	racedID := submit(4)
+	s.mu.Lock()
+	raced := s.jobs[racedID]
+	_, popped := s.queue.Remove(func(x *fleetJob) bool { return x == raced })
+	s.mu.Unlock()
+	if !popped {
+		t.Fatalf("job %s was not in the queue", racedID)
+	}
+	cancel(racedID, http.StatusAccepted)
+	s.runJob(raced)
+	expect(racedID, 0, 3, 3)
+
+	close(stub.gate)
+	waitStatus(t, ts, blocker, statusDone)
+	if got := stub.order(); len(got) != 2 {
+		t.Fatalf("runner simulated %d jobs, want 2 (the running cancel and the blocker)", len(got))
+	}
+	if v, _ := metricValue(t, []byte(metricsText(t, ts.URL)), "eccspecd_jobs_done_total"); v != 1 {
+		t.Errorf("eccspecd_jobs_done_total = %v after the blocker finished, want 1", v)
+	}
+}
+
+// TestStatusAndUptimeUseInjectedClock runs a job on a fixed clock: a
+// running job's elapsed_s is exactly now - started, and the uptime
+// gauge is now - daemon start, with no wall-clock reads in between.
+func TestStatusAndUptimeUseInjectedClock(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	stub := &stubRunner{gate: make(chan struct{})}
+	defer close(stub.gate)
+	_, ts := newStubServer(t, stub, serverConfig{queueDepth: 4, now: clk.now})
+
+	code, sub := postFleet(t, ts, `{"seeds":[1],"seconds":0.01}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %v", code, sub)
+	}
+	id := sub["id"].(string)
+	waitStatus(t, ts, id, statusRunning)
+	clk.advance(90 * time.Second)
+
+	if _, st := getJSON(t, ts.URL+"/v1/fleets/"+id); st["elapsed_s"] != 90.0 {
+		t.Errorf("running elapsed_s = %v, want 90 (now - started on the injected clock)", st["elapsed_s"])
+	}
+	page := []byte(metricsText(t, ts.URL))
+	if up, _ := metricValue(t, page, "eccspecd_uptime_seconds"); up != 90 {
+		t.Errorf("eccspecd_uptime_seconds = %v, want 90", up)
+	}
+}
+
 // TestResultsETag304SkipsEncoding proves the caching contract: a
 // conditional GET on a completed fleet's results returns 304 with no
 // body and, crucially, without re-serializing the response — counted

@@ -58,7 +58,7 @@ func (s *server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 // in-flight counts.
 func (s *server) handleClusterMembers(w http.ResponseWriter, r *http.Request) {
 	c := s.cfg.coordinator
-	now := s.now()
+	now := s.cfg.now()
 	members := c.Membership().Snapshot()
 	out := make([]cluster.MemberView, 0, len(members))
 	for _, m := range members {

@@ -98,19 +98,15 @@ import (
 )
 
 // options carries every flag; run consumes it whole so the flag list
-// can grow without the call signature keeping pace.
+// can grow without the call signature keeping pace. Flags that tune the
+// server bind straight to its config.
 type options struct {
-	addr               string
-	workers            int
-	queueDepth         int
-	drainTimeout       time.Duration
-	dataDir            string
-	checkpointInterval int
-	retention          time.Duration
-	maxJobs            int
-	chaosPlan          string
-	rateLimit          float64
-	rateBurst          int
+	server       serverConfig
+	addr         string
+	workers      int
+	drainTimeout time.Duration
+	dataDir      string
+	chaosPlan    string
 
 	coordinator     bool
 	join            string
@@ -129,22 +125,22 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:8347", "listen address")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent chip simulations (0 = GOMAXPROCS)")
-	flag.IntVar(&o.queueDepth, "queue", 16, "max accepted-but-unstarted fleet jobs")
+	flag.IntVar(&o.server.queueDepth, "queue", 16, "max accepted-but-unstarted fleet jobs")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Minute,
 		"how long shutdown waits for in-flight jobs before cancelling them")
 	flag.StringVar(&o.dataDir, "data-dir", "",
 		"directory for the crash-safe job journal (empty = in-memory only)")
-	flag.IntVar(&o.checkpointInterval, "checkpoint-interval", 1000,
+	flag.IntVar(&o.server.checkpointEvery, "checkpoint-interval", 1000,
 		"ticks between per-chip checkpoints when -data-dir is set (0 disables)")
-	flag.DurationVar(&o.retention, "retention", 0,
+	flag.DurationVar(&o.server.retention, "retention", 0,
 		"evict completed jobs this long after they finish (0 = keep forever)")
-	flag.IntVar(&o.maxJobs, "max-jobs", 0,
+	flag.IntVar(&o.server.maxJobs, "max-jobs", 0,
 		"max completed jobs retained, oldest evicted first (0 = unlimited)")
 	flag.StringVar(&o.chaosPlan, "chaos-plan", "",
 		"JSON fault-injection plan applied to every run (see internal/faultinject)")
-	flag.Float64Var(&o.rateLimit, "rate-limit", 0,
+	flag.Float64Var(&o.server.rateLimit, "rate-limit", 0,
 		"per-client request rate over /v1/fleets endpoints in req/s (0 = unlimited)")
-	flag.IntVar(&o.rateBurst, "rate-burst", 0,
+	flag.IntVar(&o.server.rateBurst, "rate-burst", 0,
 		"per-client burst on top of -rate-limit (0 = derived from the rate)")
 	flag.BoolVar(&o.coordinator, "coordinator", false,
 		"run as a cluster coordinator: shard fleets across joined workers")
@@ -185,14 +181,7 @@ func run(o options) error {
 	}
 	engine := fleet.New(fleet.Config{Workers: o.workers})
 
-	cfg := serverConfig{
-		queueDepth:      o.queueDepth,
-		checkpointEvery: o.checkpointInterval,
-		retention:       o.retention,
-		maxJobs:         o.maxJobs,
-		rateLimit:       o.rateLimit,
-		rateBurst:       o.rateBurst,
-	}
+	cfg := o.server
 	var storeOpts store.Options
 	var injector *faultinject.Injector
 	var rpcRetry store.RetryPolicy
@@ -228,7 +217,7 @@ func run(o options) error {
 		}
 		defer st.Close()
 		cfg.store = st
-		log.Printf("eccspecd: journaling to %s (checkpoint every %d ticks)", o.dataDir, o.checkpointInterval)
+		log.Printf("eccspecd: journaling to %s (checkpoint every %d ticks)", o.dataDir, cfg.checkpointEvery)
 	}
 
 	// Every cluster RPC — coordinator dispatch and worker

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"eccspec/internal/fleet"
+	"eccspec/internal/snapshot"
 	"eccspec/internal/store"
 )
 
@@ -338,4 +340,103 @@ func TestHealthzVersion(t *testing.T) {
 	if p, ok := h["persistent"].(bool); !ok || p {
 		t.Fatalf("persistent = %v, want false without a store", h["persistent"])
 	}
+}
+
+// runnerFunc adapts a function to the runner interface.
+type runnerFunc func(ctx context.Context, job fleet.Job, onProgress func(done, total int)) ([]fleet.ChipResult, error)
+
+func (f runnerFunc) Run(ctx context.Context, job fleet.Job, onProgress func(done, total int)) ([]fleet.ChipResult, error) {
+	return f(ctx, job, onProgress)
+}
+
+// TestRecoveredResultsMerge replays a journal holding a completed and
+// an unfinished job, each with one readable chip record, one unreadable
+// record and one missing seed. The completed job serves the record and
+// names what is wrong with the other two seeds. The unfinished job keeps
+// its readable chip, re-runs the unreadable and the missing seed (the
+// second from its checkpoint), and reports a seed the run returned no
+// result for as not simulated.
+func TestRecoveredResultsMerge(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	good := func(seed uint64) store.ChipRecord {
+		return store.ChipRecord{Seed: seed, NominalV: 0.8, AvgReduction: 0.2, DomainVdd: []float64{0.7}, Ticks: 7}
+	}
+	unreadable := func(seed uint64) store.ChipRecord {
+		return store.ChipRecord{Seed: seed, Trace: &snapshot.TraceState{}}
+	}
+	spec := func(seeds ...uint64) fleet.Job { return fleet.Job{Seeds: seeds, Seconds: 0.01} }
+	for _, err := range []error{
+		st.AddJob(1, spec(10, 11, 12)),
+		st.RecordChip(1, good(10)),
+		st.RecordChip(1, unreadable(11)),
+		st.MarkJobDone(1, 1_700_000_000),
+		st.AddJob(2, spec(20, 21, 22, 23)),
+		st.RecordChip(2, good(20)),
+		st.RecordChip(2, unreadable(21)),
+		st.RecordCheckpoint(2, 22, 5, []byte("ckpt-22")),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ran := make(chan fleet.Job, 1)
+	run := runnerFunc(func(ctx context.Context, job fleet.Job, onProgress func(done, total int)) ([]fleet.ChipResult, error) {
+		ran <- job
+		var out []fleet.ChipResult
+		for _, seed := range job.Seeds {
+			if seed != 23 {
+				out = append(out, fleet.ChipResult{Seed: seed, NominalV: 0.8, AvgReduction: 0.1, DomainVdd: []float64{0.72}, Ticks: 10})
+			}
+		}
+		return out, nil
+	})
+	s := newServer(run, serverConfig{queueDepth: 4, store: st})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	perChip := func(id string) []string {
+		t.Helper()
+		code, res := getJSON(t, ts.URL+"/v1/fleets/"+id+"/results")
+		if code != http.StatusOK {
+			t.Fatalf("%s results: HTTP %d: %v", id, code, res)
+		}
+		var out []string
+		for _, c := range res["per_chip"].([]any) {
+			c := c.(map[string]any)
+			out = append(out, fmt.Sprintf("%v ticks=%v err=%v", c["seed"], c["ticks"], c["error"]))
+		}
+		return out
+	}
+	check := func(id string, got, want []string) {
+		t.Helper()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s per-chip results:\n got  %q\n want %q", id, got, want)
+		}
+	}
+
+	check("f-1", perChip("f-1"), []string{
+		"10 ticks=7 err=<nil>",
+		"11 ticks=0 err=stored result unreadable: snapshot: trace state has no columns",
+		"12 ticks=0 err=result missing from store",
+	})
+
+	job := <-ran
+	if got := fmt.Sprint(job.Seeds); got != "[21 22 23]" {
+		t.Errorf("resumed run simulated seeds %s, want [21 22 23]", got)
+	}
+	if len(job.Resume) != 1 || string(job.Resume[22]) != "ckpt-22" {
+		t.Errorf("resumed run got checkpoints %v, want seed 22's only", job.Resume)
+	}
+	waitStatus(t, ts, "f-2", statusDone)
+	check("f-2", perChip("f-2"), []string{
+		"20 ticks=7 err=<nil>",
+		"21 ticks=10 err=<nil>",
+		"22 ticks=10 err=<nil>",
+		"23 ticks=0 err=chip was not simulated",
+	})
 }

@@ -108,11 +108,12 @@ func (r fleetRequest) job() (fleet.Job, error) {
 }
 
 // fleetJob is one tracked submission. All mutable fields are guarded
-// by the server mutex.
+// by the server mutex. A job is queued, then running, then terminal
+// (done, failed or canceled); finish is its only way into a terminal
+// state.
 type fleetJob struct {
 	ID        string
 	Num       uint64 // numeric id (the store key); ID is "f-<Num>"
-	Req       fleetRequest
 	Job       fleet.Job
 	Status    string
 	Submitted time.Time
@@ -132,6 +133,35 @@ type fleetJob struct {
 	// userCanceled marks a DELETE-initiated cancellation: the job is
 	// evicted from the store instead of resuming on restart.
 	userCanceled bool
+}
+
+// errClientCancel ends a job that a DELETE canceled before it ran.
+var errClientCancel = errors.New("canceled by client")
+
+// finish moves the job to its terminal state at now. A run error
+// (cancellation) leaves it canceled; otherwise it is failed when every
+// chip failed and done when any succeeded, and its results become
+// immutable under an ETag. results may be nil for a job that never ran,
+// which then has no summary. The caller holds the server mutex.
+func (j *fleetJob) finish(results []fleet.ChipResult, runErr error, now time.Time) {
+	j.Finished, j.cancel = now, nil
+	if results != nil {
+		sum := fleet.Summarize(results)
+		j.Results, j.Summary = results, &sum
+	}
+	switch {
+	case runErr != nil:
+		j.Status, j.Err = statusCanceled, runErr.Error()
+		if j.userCanceled {
+			j.Err = errClientCancel.Error()
+		}
+		return
+	case j.Summary.Failed == j.Summary.Chips:
+		j.Status, j.Err = statusFailed, "all chips failed"
+	default:
+		j.Status = statusDone
+	}
+	j.Etag = etagFor(j)
 }
 
 // serverConfig tunes a server beyond its engine.
@@ -184,7 +214,6 @@ type server struct {
 	metrics *metrics
 	mux     *http.ServeMux
 	cfg     serverConfig
-	now     func() time.Time
 
 	runCtx    context.Context
 	cancelRun context.CancelFunc
@@ -225,10 +254,9 @@ func newServer(engine runner, cfg serverConfig) *server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &server{
 		engine:     engine,
-		metrics:    newMetrics(),
+		metrics:    &metrics{start: cfg.now()},
 		mux:        http.NewServeMux(),
 		cfg:        cfg,
-		now:        cfg.now,
 		runCtx:     ctx,
 		cancelRun:  cancel,
 		jobs:       make(map[string]*fleetJob),
@@ -320,28 +348,15 @@ func (s *server) recover() []*fleetJob {
 			Num: rec.ID,
 			Job: rec.Spec,
 		}
+		j.ChipsDone = len(rec.Chips)
 		if rec.Completed {
 			at := time.Unix(rec.CompletedUnix, 0)
-			j.Submitted, j.Started, j.Finished = at, at, at
-			j.ChipsDone = len(rec.Chips)
-			j.Results = resultsFromRecord(rec)
-			sum := fleet.Summarize(j.Results)
-			j.Summary = &sum
-			if sum.Failed == sum.Chips {
-				j.Status = statusFailed
-				j.Err = "all chips failed"
-			} else {
-				j.Status = statusDone
-			}
-			// Completed results are immutable, and the tag's inputs
-			// (id, chip count, completion stamp) are journaled, so a
-			// restarted daemon reissues the same ETag and client caches
-			// stay valid across restarts.
-			j.Etag = etagFor(j)
+			j.Submitted, j.Started = at, at
+			results, _ := storedResults(rec.Spec.Seeds, rec.Chips)
+			j.finish(results, nil, at)
 		} else {
-			j.Submitted = s.now()
+			j.Submitted = s.cfg.now()
 			j.Status = statusQueued
-			j.ChipsDone = len(rec.Chips)
 			resume = append(resume, j)
 			log.Printf("eccspecd: recovered unfinished fleet %s (%d/%d chips done, %d checkpoints)",
 				j.ID, len(rec.Chips), len(rec.Spec.Seeds), len(rec.Checkpoints))
@@ -355,84 +370,69 @@ func (s *server) recover() []*fleetJob {
 	return resume
 }
 
-// resultsFromRecord reconstructs the ordered per-chip results of a
-// stored job. A seed whose record is missing or unreadable carries an
-// error result rather than poisoning the whole job.
-func resultsFromRecord(rec store.JobRecord) []fleet.ChipResult {
-	out := make([]fleet.ChipResult, 0, len(rec.Spec.Seeds))
-	for _, seed := range rec.Spec.Seeds {
-		ch, ok := rec.Chips[seed]
+// storedResults lays a job's journaled chips out in submission seed
+// order. A seed whose record is missing or unreadable carries an error
+// result rather than poisoning the whole job, and its index is listed in
+// pending: a completed job serves the error, a resumed one re-runs the
+// chip.
+func storedResults(seeds []uint64, chips map[uint64]store.ChipRecord) (out []fleet.ChipResult, pending []int) {
+	out = make([]fleet.ChipResult, len(seeds))
+	for i, seed := range seeds {
+		ch, ok := chips[seed]
 		if !ok {
-			out = append(out, fleet.ChipResult{Seed: seed, Err: fmt.Errorf("result missing from store")})
+			out[i] = fleet.ChipResult{Seed: seed, Err: fmt.Errorf("result missing from store")}
+			pending = append(pending, i)
 			continue
 		}
 		r, err := ch.ToResult()
 		if err != nil {
 			r = fleet.ChipResult{Seed: seed, Err: fmt.Errorf("stored result unreadable: %v", err)}
+			pending = append(pending, i)
 		}
-		out = append(out, r)
+		out[i] = r
 	}
-	return out
+	return out, pending
 }
 
 // evict applies the retention policy: completed jobs past the TTL go
 // first, then the oldest completed jobs beyond the max-jobs cap.
 // Queued and running jobs are never evicted.
 func (s *server) evict() {
-	now := s.now()
+	now := s.cfg.now()
 	s.mu.Lock()
-	type cand struct {
-		id  string
-		num uint64
-		fin time.Time
-	}
-	var completed []cand
+	var completed []*fleetJob
 	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.Status == statusDone || j.Status == statusFailed || j.Status == statusCanceled {
-			completed = append(completed, cand{id: id, num: j.Num, fin: j.Finished})
+		if j := s.jobs[id]; !j.Finished.IsZero() { // only finish sets it
+			completed = append(completed, j)
 		}
 	}
-	sort.Slice(completed, func(i, k int) bool { return completed[i].fin.Before(completed[k].fin) })
-	doomed := make(map[string]cand)
-	if ttl := s.cfg.retention; ttl > 0 {
-		for _, c := range completed {
-			if now.Sub(c.fin) > ttl {
-				doomed[c.id] = c
-			}
-		}
+	sort.SliceStable(completed, func(a, b int) bool { return completed[a].Finished.Before(completed[b].Finished) })
+	// The TTL-expired jobs are a prefix of completed, so the cap and the
+	// TTL together evict the longest prefix either asks for.
+	n := 0
+	if s.cfg.maxJobs > 0 {
+		n = max(0, len(completed)-s.cfg.maxJobs)
 	}
-	if cap := s.cfg.maxJobs; cap > 0 {
-		keep := len(completed) - len(doomed)
-		for _, c := range completed {
-			if keep <= cap {
-				break
-			}
-			if _, dup := doomed[c.id]; !dup {
-				doomed[c.id] = c
-				keep--
-			}
-		}
+	for ttl := s.cfg.retention; ttl > 0 && n < len(completed) && now.Sub(completed[n].Finished) > ttl; {
+		n++
 	}
-	var evicted []cand
-	if len(doomed) > 0 {
-		kept := s.order[:0]
-		for _, id := range s.order {
-			if c, ok := doomed[id]; ok {
-				delete(s.jobs, id)
-				evicted = append(evicted, c)
-				continue
-			}
+	evicted := completed[:n]
+	for _, j := range evicted {
+		delete(s.jobs, j.ID)
+	}
+	kept := s.order[:0]
+	for _, id := range s.order {
+		if _, ok := s.jobs[id]; ok {
 			kept = append(kept, id)
 		}
-		s.order = kept
 	}
+	s.order = kept
 	s.mu.Unlock()
-	for _, c := range evicted {
+	for _, j := range evicted {
 		s.metrics.jobsEvicted.Add(1)
 		if s.cfg.store != nil {
-			if err := s.cfg.store.EvictJob(c.num); err != nil {
-				log.Printf("eccspecd: evicting fleet %s from store: %v", c.id, err)
+			if err := s.cfg.store.EvictJob(j.Num); err != nil {
+				log.Printf("eccspecd: evicting fleet %s from store: %v", j.ID, err)
 			}
 		}
 	}
@@ -498,49 +498,26 @@ func (s *server) runJob(j *fleetJob) {
 	// A DELETE that raced the pop (the job left the queue before Remove
 	// could see it) lands here: honor it before simulating anything.
 	if j.userCanceled {
-		j.Status = statusCanceled
-		j.Err = "canceled by client"
-		j.Finished = s.now()
-		num := j.Num
+		j.finish(nil, errClientCancel, s.cfg.now())
 		s.mu.Unlock()
-		s.dropFromStore(num)
+		s.settled(j)
 		return
 	}
 	ctx, cancel := context.WithCancel(s.runCtx)
 	defer cancel()
 	j.cancel = cancel
 	j.Status = statusRunning
-	j.Started = s.now()
+	j.Started = s.cfg.now()
 	s.mu.Unlock()
 
 	// With a store attached: serve already-finished chips from their
 	// records, resume the rest from their last checkpoints, and persist
-	// chips and checkpoints as the run progresses.
+	// chips and checkpoints as the run progresses. Without one every
+	// seed is pending.
 	job := j.Job
-	prior := make(map[uint64]fleet.ChipResult)
+	var rec store.JobRecord
 	if st := s.cfg.store; st != nil {
-		if rec, ok := st.Job(j.Num); ok {
-			for seed, ch := range rec.Chips {
-				if r, err := ch.ToResult(); err == nil {
-					prior[seed] = r
-				}
-			}
-			var remaining []uint64
-			for _, seed := range job.Seeds {
-				if _, done := prior[seed]; !done {
-					remaining = append(remaining, seed)
-				}
-			}
-			job.Seeds = remaining
-			if len(rec.Checkpoints) > 0 {
-				job.Resume = make(map[uint64][]byte)
-				for _, seed := range remaining {
-					if blob, ok := rec.Checkpoints[seed]; ok {
-						job.Resume[seed] = blob
-					}
-				}
-			}
-		}
+		rec, _ = st.Job(j.Num)
 		job.CheckpointEvery = s.cfg.checkpointEvery
 		job.OnCheckpoint = func(seed uint64, ticks int, blob []byte) {
 			if err := s.noteStore(st.RecordCheckpoint(j.Num, seed, ticks, blob)); err != nil {
@@ -568,6 +545,15 @@ func (s *server) runJob(j *fleetJob) {
 			}
 		}
 	}
+	results, pending := storedResults(j.Job.Seeds, rec.Chips)
+	job.Seeds, job.Resume = nil, make(map[uint64][]byte)
+	for _, i := range pending {
+		seed := results[i].Seed
+		job.Seeds = append(job.Seeds, seed)
+		if blob, ok := rec.Checkpoints[seed]; ok {
+			job.Resume[seed] = blob
+		}
+	}
 
 	// Live simulation telemetry: each chip's run carries a batched
 	// tick-counting observer feeding the Prometheus counter, so
@@ -578,7 +564,7 @@ func (s *server) runJob(j *fleetJob) {
 	// ignores this hook.)
 	job.Observers = s.chipObservers
 
-	priorDone := len(prior)
+	priorDone := len(results) - len(pending)
 	s.mu.Lock()
 	j.ChipsDone = priorDone
 	s.mu.Unlock()
@@ -593,76 +579,56 @@ func (s *server) runJob(j *fleetJob) {
 			s.mu.Unlock()
 		})
 	}
+
+	// Fill the pending seeds from this run so a recovered run reports
+	// chips identically to an uninterrupted one.
+	bySeed := make(map[uint64]fleet.ChipResult, len(fresh))
 	for _, r := range fresh {
 		if r.Err != nil {
 			s.metrics.chipsFailed.Add(1)
 		}
-	}
-
-	// Merge stored and fresh results back into submission seed order so
-	// a recovered run reports chips identically to an uninterrupted one.
-	bySeed := make(map[uint64]fleet.ChipResult, len(fresh))
-	for _, r := range fresh {
 		bySeed[r.Seed] = r
 	}
-	results := make([]fleet.ChipResult, 0, len(j.Job.Seeds))
-	for _, sd := range j.Job.Seeds {
-		if r, ok := prior[sd]; ok {
-			results = append(results, r)
-		} else if r, ok := bySeed[sd]; ok {
-			results = append(results, r)
-		} else {
-			results = append(results, fleet.ChipResult{Seed: sd, Err: fmt.Errorf("chip was not simulated")})
+	for _, i := range pending {
+		r, ok := bySeed[results[i].Seed]
+		if !ok {
+			r = fleet.ChipResult{Seed: results[i].Seed, Err: fmt.Errorf("chip was not simulated")}
 		}
+		results[i] = r
 	}
-	sum := fleet.Summarize(results)
 
 	s.mu.Lock()
-	j.Finished = s.now()
-	j.Results = results
-	j.Summary = &sum
-	j.cancel = nil
-	switch {
-	case err != nil:
-		j.Status = statusCanceled
-		if j.userCanceled {
-			j.Err = "canceled by client"
-		} else {
-			j.Err = err.Error()
-		}
-		s.metrics.jobsFailed.Add(1)
-	case sum.Failed == sum.Chips:
-		j.Status = statusFailed
-		j.Err = "all chips failed"
-		s.metrics.jobsFailed.Add(1)
-	default:
-		j.Status = statusDone
-		s.metrics.jobsDone.Add(1)
-	}
-	if j.Status == statusDone || j.Status == statusFailed {
-		j.Etag = etagFor(j)
-	}
-	status := j.Status
-	finished := j.Finished
-	userCanceled := j.userCanceled
+	j.finish(results, err, s.cfg.now())
 	s.mu.Unlock()
-
-	// A cancelled job is deliberately NOT marked done: a restarted
-	// daemon re-enqueues it and continues from its checkpoints — unless
-	// the client canceled it, in which case it leaves the store too.
-	switch {
-	case s.cfg.store != nil && status != statusCanceled:
-		if err := s.noteStore(s.cfg.store.MarkJobDone(j.Num, finished.Unix())); err != nil {
-			log.Printf("eccspecd: marking %s done: %v", j.ID, err)
-		}
-	case status == statusCanceled && userCanceled:
-		s.dropFromStore(j.Num)
-	}
+	s.settled(j)
 	s.evict()
 }
 
-// dropFromStore removes a client-canceled job's record so a restarted
-// daemon does not resurrect it.
+// settled counts a job's terminal transition and journals it: done and
+// failed jobs are marked complete, a client-canceled job leaves the
+// store, and a job canceled otherwise (drain timeout) stays journaled so
+// a restarted daemon re-enqueues it and continues from its checkpoints.
+// The caller has just finished j and no longer holds the server mutex;
+// a terminal job's fields no longer change.
+func (s *server) settled(j *fleetJob) {
+	if j.Status == statusDone {
+		s.metrics.jobsDone.Add(1)
+	} else {
+		s.metrics.jobsFailed.Add(1)
+	}
+	switch {
+	case s.cfg.store == nil:
+	case j.Status != statusCanceled:
+		if err := s.noteStore(s.cfg.store.MarkJobDone(j.Num, j.Finished.Unix())); err != nil {
+			log.Printf("eccspecd: marking %s done: %v", j.ID, err)
+		}
+	case j.userCanceled:
+		s.dropFromStore(j.Num)
+	}
+}
+
+// dropFromStore removes a client-canceled or deleted job's record so a
+// restarted daemon does not resurrect it.
 func (s *server) dropFromStore(num uint64) {
 	if s.cfg.store == nil {
 		return
@@ -727,22 +693,25 @@ func etagFor(j *fleetJob) string {
 	return fmt.Sprintf("%q", fmt.Sprintf("%s-%d-%d-%s", j.ID, len(j.Results), j.Finished.Unix(), j.Status))
 }
 
-// etagVariant derives a tag for an alternate representation of the
-// same resource (a page window, a filtered trace) by folding the
-// variant discriminator into the base tag.
-func etagVariant(base, variant string) string {
-	if variant == "" {
-		return base
+// notModified revalidates a completed job's representation. base is
+// the job's tag ("" while its results can still change: no tag, no
+// 304); a non-empty variant (a page window, a filtered trace) is folded
+// into it, since the representation differs. It sets the ETag header
+// and, when If-None-Match lists that tag or `*`, answers a bare 304
+// before anything is serialized and reports true.
+func (s *server) notModified(w http.ResponseWriter, r *http.Request, base, variant string) bool {
+	if base == "" {
+		return false
 	}
-	return base[:len(base)-1] + ";" + variant + `"`
-}
-
-// etagMatches implements the If-None-Match comparison: a literal `*`
-// or any listed tag equal to etag.
-func etagMatches(header, etag string) bool {
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		if part == "*" || part == etag {
+	etag := base
+	if variant != "" {
+		etag = base[:len(base)-1] + ";" + variant + `"`
+	}
+	w.Header().Set("ETag", etag)
+	for _, part := range strings.Split(r.Header.Get("If-None-Match"), ",") {
+		if part = strings.TrimSpace(part); part == "*" || part == etag {
+			s.metrics.notModified.Add(1)
+			w.WriteHeader(http.StatusNotModified)
 			return true
 		}
 	}
@@ -813,10 +782,9 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &fleetJob{
 		ID:        fmt.Sprintf("f-%d", s.nextID),
 		Num:       s.nextID,
-		Req:       req,
 		Job:       job,
 		Status:    statusQueued,
-		Submitted: s.now(),
+		Submitted: s.cfg.now(),
 	}
 	// Persist the accepted job before acknowledging it: once the client
 	// sees 202, a daemon crash no longer loses the submission. A commit
@@ -892,7 +860,7 @@ func (s *server) statusLocked(j *fleetJob) jobStatus {
 	case !j.Finished.IsZero():
 		st.ElapsedS = j.Finished.Sub(j.Started).Seconds()
 	case !j.Started.IsZero():
-		st.ElapsedS = time.Since(j.Started).Seconds()
+		st.ElapsedS = s.cfg.now().Sub(j.Started).Seconds()
 	}
 	return st
 }
@@ -937,14 +905,11 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	case statusQueued:
 		j.userCanceled = true
 		if _, ok := s.queue.Remove(func(x *fleetJob) bool { return x == j }); ok {
-			j.Status = statusCanceled
-			j.Err = "canceled by client"
-			j.Finished = s.now()
-			num := j.Num
+			j.finish(nil, errClientCancel, s.cfg.now())
 			st := s.statusLocked(j)
 			s.mu.Unlock()
 			s.metrics.jobsCanceled.Add(1)
-			s.dropFromStore(num)
+			s.settled(j)
 			writeJSON(w, http.StatusOK, st)
 			return
 		}
@@ -1029,21 +994,14 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "fleet %s is %s; results are available once it finishes", j.ID, j.Status)
 		return
 	}
-	// Completed results are immutable: answer conditional GETs with a
-	// bare 304 before any of the response is serialized. The tag varies
-	// with the page window because the representation does.
-	if j.Etag != "" {
-		variant := ""
-		if paged {
-			variant = fmt.Sprintf("o%d-l%d", offset, limit)
-		}
-		etag := etagVariant(j.Etag, variant)
-		w.Header().Set("ETag", etag)
-		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-			s.metrics.notModified.Add(1)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+	// The tag varies with the page window because the representation
+	// does.
+	variant := ""
+	if paged {
+		variant = fmt.Sprintf("o%d-l%d", offset, limit)
+	}
+	if s.notModified(w, r, j.Etag, variant) {
+		return
 	}
 	sum := j.Summary
 	resp := map[string]any{
@@ -1123,18 +1081,12 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	// A completed fleet's trace is as immutable as its results; the tag
 	// varies with the seed filter because the representation does.
-	if etag != "" {
-		variant := "trace"
-		if seedFilter != nil {
-			variant = fmt.Sprintf("trace-s%d", *seedFilter)
-		}
-		etag = etagVariant(etag, variant)
-		w.Header().Set("ETag", etag)
-		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-			s.metrics.notModified.Add(1)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+	variant := "trace"
+	if seedFilter != nil {
+		variant = fmt.Sprintf("trace-s%d", *seedFilter)
+	}
+	if s.notModified(w, r, etag, variant) {
+		return
 	}
 
 	found := false
@@ -1158,7 +1110,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/csv")
 	flusher, _ := w.(http.Flusher)
 	bw := bufio.NewWriterSize(w, 64<<10)
-	fmt.Fprintf(bw, "seed,time,%s\n", joinColumns())
+	fmt.Fprintf(bw, "seed,time,%s\n", strings.Join(fleet.TraceColumns, ","))
 	rows := 0
 	var buf []byte
 	for _, c := range results {
@@ -1194,65 +1146,6 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // traceFlushRows is how many CSV rows accumulate between explicit
 // flushes of the trace stream.
 const traceFlushRows = 4096
-
-func joinColumns() string {
-	out := ""
-	for i, c := range fleet.TraceColumns {
-		if i > 0 {
-			out += ","
-		}
-		out += c
-	}
-	return out
-}
-
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	queued, running := 0, 0
-	for _, j := range s.jobs {
-		switch j.Status {
-		case statusQueued:
-			queued++
-		case statusRunning:
-			running++
-		}
-	}
-	s.mu.Unlock()
-	var retries int64
-	if s.cfg.store != nil {
-		retries = s.cfg.store.Retries()
-	}
-	var cl *clusterScrape
-	if c := s.cfg.coordinator; c != nil {
-		st := c.Stats()
-		cl = &clusterScrape{
-			dispatches:     st.Dispatches,
-			chipsDone:      st.ChipsDone,
-			remoteTicks:    st.RemoteTicks,
-			chipsStolen:    st.ChipsStolen,
-			chipsMigrated:  st.ChipsMigrated,
-			retries:        st.Retries,
-			streamsStalled: st.StreamsStalled,
-			dupEvents:      st.DupEvents,
-			quarantines:    c.Membership().Quarantines(),
-		}
-		counts := c.Membership().Counts()
-		cl.workersHealthy = counts.Healthy
-		cl.workersDegraded = counts.Degraded
-		cl.workersQuarantined = counts.Quarantined
-		cl.workersDead = counts.Dead
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, scrape{
-		queued:       queued,
-		running:      running,
-		queueDepth:   s.queue.Depth(),
-		queueCap:     s.queue.Capacity(),
-		degraded:     s.degraded.Load(),
-		storeRetries: retries,
-		cluster:      cl,
-	})
-}
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
