@@ -13,11 +13,16 @@
 //	eccspec chaos <scenario>     # replay a scenario deterministically
 //	eccspec cluster members [-addr URL]
 //	eccspec cluster placement <fleet-id> [-addr URL]
+//	eccspec sweep [-seed N] [-full] [-high] [-ticks N]
+//	eccspec calibrate [-seed N] [-full] [-high] [-aged hours]
+//	eccspec errprofile [-seed N] [-offset mV] [-seconds S] [-top K] [-full]
 //	eccspec version
 //
 // Each experiment id corresponds to one table or figure of the paper
 // (fig1..fig18, tab1, tab2) or an auxiliary study (retention, aging,
-// temp). See DESIGN.md for the experiment index.
+// temp). See DESIGN.md for the experiment index. sweep, calibrate and
+// errprofile characterize one chip specimen the way §II, §III-C and
+// §IV-A4 of the paper do.
 //
 // With -checkpoint and no experiment ids, run performs a direct
 // closed-loop simulation (calibrate, then speculate for -seconds) and
@@ -90,6 +95,12 @@ func runCtx(ctx context.Context, args []string) error {
 		return clusterCmd(args[1:])
 	case "loadtest":
 		return loadtestCmd(ctx, args[1:])
+	case "sweep":
+		return sweepCmd(args[1:], os.Stdout)
+	case "calibrate":
+		return calibrateCmd(args[1:], os.Stdout)
+	case "errprofile":
+		return errprofileCmd(args[1:], os.Stdout)
 	case "version", "-version", "--version":
 		fmt.Printf("eccspec %s\n", version.String())
 		return nil
@@ -442,6 +453,9 @@ func usage() {
   eccspec cluster members [-addr URL]
   eccspec cluster placement <fleet-id> [-addr URL]
   eccspec loadtest -addr URL [-rps N] [-duration D] [-workers N] [-mix s:st:r:l] [-json f] [-slo-submit-p99 MS] [-slo-read-p99 MS] [-slo-min-rps N]
+  eccspec sweep [-seed N] [-full] [-high] [-ticks N]
+  eccspec calibrate [-seed N] [-full] [-high] [-aged hours]
+  eccspec errprofile [-seed N] [-offset mV] [-seconds S] [-top K] [-full]
   eccspec version
 
 speculation policies (for -policy / -policies): %s

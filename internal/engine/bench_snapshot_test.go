@@ -4,8 +4,11 @@ package engine_test
 // and TestBenchSnapshot writes a BENCH_ticks.json performance snapshot
 // — single-chip tick latency from BenchmarkEngineTick plus fleet
 // throughput from a parallel micro-run — so CI archives a comparable
-// number per commit. Without the env var the test skips, keeping plain
-// `go test ./...` fast.
+// number per commit. The row records the machine it was measured on,
+// and it replaces the committed one only when it passes the regression
+// gate against it, so a failing run cannot re-baseline the gate.
+// Without the env var the test skips, keeping plain `go test ./...`
+// fast.
 
 import (
 	"context"
@@ -13,6 +16,7 @@ import (
 	"flag"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,17 +91,32 @@ func TestBenchSnapshot(t *testing.T) {
 		"nproc":           runtime.NumCPU(),
 		"gomaxprocs":      runtime.GOMAXPROCS(0),
 		"go_version":      runtime.Version(),
+		"cpu":             cpuModel(),
 	}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if baseline > 0 && nsPerTick > baseline*regressionFactor {
+		t.Fatalf("tick latency regressed: %.0f ns/tick vs committed %.0f (limit %.0f); %s left unchanged; this run's row:\n%s",
+			nsPerTick, baseline, baseline*regressionFactor, out, blob)
 	}
 	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", out)
+}
 
-	if baseline > 0 && nsPerTick > baseline*regressionFactor {
-		t.Errorf("tick latency regressed: %.0f ns/tick vs committed %.0f (limit %.0f)",
-			nsPerTick, baseline, baseline*regressionFactor)
+// cpuModel names the processor from /proc/cpuinfo's first "model name"
+// line, or "unknown" where that file does not exist.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
 	}
+	for _, ln := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(ln, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
