@@ -344,11 +344,11 @@ func (s *server) recover() []*fleetJob {
 	var resume []*fleetJob
 	for _, rec := range s.cfg.store.Jobs() {
 		j := &fleetJob{
-			ID:  fmt.Sprintf("f-%d", rec.ID),
-			Num: rec.ID,
-			Job: rec.Spec,
+			ID:        fmt.Sprintf("f-%d", rec.ID),
+			Num:       rec.ID,
+			Job:       rec.Spec,
+			ChipsDone: len(rec.Chips),
 		}
-		j.ChipsDone = len(rec.Chips)
 		if rec.Completed {
 			at := time.Unix(rec.CompletedUnix, 0)
 			j.Submitted, j.Started = at, at
@@ -1025,10 +1025,7 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 			"counts": sum.DomainVddHist.Counts,
 		}
 	}
-	lo, hi := pageWindow(len(j.Results), offset, limit)
-	if !paged {
-		lo, hi = 0, len(j.Results)
-	}
+	lo, hi := pageWindow(len(j.Results), offset, limit) // unpaged: offset and limit are 0
 	chips := make([]chipJSON, 0, hi-lo)
 	for _, c := range j.Results[lo:hi] {
 		cj := chipJSON{Seed: c.Seed, Ticks: c.Ticks}
