@@ -346,11 +346,15 @@ func TestCancelCountsOnceAtEveryTiming(t *testing.T) {
 			t.Fatalf("DELETE %s: HTTP %d, want %d", id, resp.StatusCode, wantCode)
 		}
 	}
-	expect := func(id string, done, failed, canceled float64) {
+	expect := func(id string, started bool, done, failed, canceled float64) {
 		t.Helper()
 		waitStatus(t, ts, id, statusCanceled)
-		if _, st := getJSON(t, ts.URL+"/v1/fleets/"+id); st["error"] != "canceled by client" {
+		_, st := getJSON(t, ts.URL+"/v1/fleets/"+id)
+		if st["error"] != "canceled by client" {
 			t.Errorf("%s error = %v, want \"canceled by client\"", id, st["error"])
+		}
+		if !started && st["elapsed_s"] != nil {
+			t.Errorf("%s never started but reports elapsed_s %v", id, st["elapsed_s"])
 		}
 		page := []byte(metricsText(t, ts.URL))
 		for name, want := range map[string]float64{
@@ -368,14 +372,14 @@ func TestCancelCountsOnceAtEveryTiming(t *testing.T) {
 	running := submit(1)
 	waitStatus(t, ts, running, statusRunning)
 	cancel(running, http.StatusAccepted)
-	expect(running, 0, 1, 1)
+	expect(running, true, 0, 1, 1)
 
 	// Queued behind a running job: the DELETE removes it from the queue.
 	blocker := submit(2)
 	waitStatus(t, ts, blocker, statusRunning)
 	queued := submit(3)
 	cancel(queued, http.StatusOK)
-	expect(queued, 0, 2, 2)
+	expect(queued, false, 0, 2, 2)
 
 	// Raced pop: the job has left the queue, exactly as the runner's Pop
 	// takes it, so the DELETE finds it queued but cannot remove it; the
@@ -390,7 +394,7 @@ func TestCancelCountsOnceAtEveryTiming(t *testing.T) {
 	}
 	cancel(racedID, http.StatusAccepted)
 	s.runJob(raced)
-	expect(racedID, 0, 3, 3)
+	expect(racedID, false, 0, 3, 3)
 
 	close(stub.gate)
 	waitStatus(t, ts, blocker, statusDone)

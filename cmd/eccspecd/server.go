@@ -856,11 +856,14 @@ func (s *server) statusLocked(j *fleetJob) jobStatus {
 		Submitted:  j.Submitted.UTC().Format(time.RFC3339Nano),
 		Error:      j.Err,
 	}
-	switch {
-	case !j.Finished.IsZero():
-		st.ElapsedS = j.Finished.Sub(j.Started).Seconds()
-	case !j.Started.IsZero():
-		st.ElapsedS = s.cfg.now().Sub(j.Started).Seconds()
+	// A job that never started (canceled while queued) has no elapsed
+	// time.
+	if !j.Started.IsZero() {
+		end := j.Finished
+		if end.IsZero() {
+			end = s.cfg.now()
+		}
+		st.ElapsedS = end.Sub(j.Started).Seconds()
 	}
 	return st
 }
