@@ -1,14 +1,13 @@
 package main
 
-// Golden outputs of the characterization commands at seed 1, captured
-// from the standalone calibrate, sweep and errprofile tools before they
-// became eccspec subcommands (and, before that, before the specimen
-// build's word selection and the fused calibration sweep were
-// rewritten). calibrate covers the default low-voltage point, the
-// high-voltage point and an aged chip, whose profiles come from the
-// full per-cell scan; sweep and errprofile build the chip lazily
-// (chip.New), so its profiles are scanned on first use by the tick
-// path. Regenerate deliberately with:
+// Golden outputs of the characterization commands at seed 1. They were
+// captured before the specimen build's word selection and the fused
+// calibration sweep were rewritten, and must stay byte-identical.
+// calibrate covers the default low-voltage point, the high-voltage
+// point and an aged chip, whose profiles come from the full per-cell
+// scan; sweep and errprofile build the chip lazily (chip.New), so its
+// profiles are scanned on first use by the tick path. Regenerate
+// deliberately with:
 //
 //	go test ./cmd/eccspec -run Golden -update-golden
 
