@@ -420,13 +420,15 @@ func (s *server) evict() {
 	for _, j := range evicted {
 		delete(s.jobs, j.ID)
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		if _, ok := s.jobs[id]; ok {
-			kept = append(kept, id)
+	if n > 0 {
+		kept := s.order[:0]
+		for _, id := range s.order {
+			if _, ok := s.jobs[id]; ok {
+				kept = append(kept, id)
+			}
 		}
+		s.order = kept
 	}
-	s.order = kept
 	s.mu.Unlock()
 	for _, j := range evicted {
 		s.metrics.jobsEvicted.Add(1)
