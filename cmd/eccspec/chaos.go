@@ -262,9 +262,7 @@ func runClusterPlane(ctx context.Context, sc faultinject.Scenario, in *faultinje
 	}
 	coord := cluster.New(cluster.Config{
 		Membership:   m,
-		MaxBatch:     2,
 		WorkerWait:   10 * time.Second,
-		Poll:         5 * time.Millisecond,
 		StallTimeout: 5 * time.Second,
 		Retry: store.RetryPolicy{
 			BaseDelay:  10 * time.Millisecond,

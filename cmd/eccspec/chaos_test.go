@@ -74,3 +74,31 @@ func TestChaosCustomPlanStorePath(t *testing.T) {
 		t.Fatalf("seed override not applied:\n%s", out)
 	}
 }
+
+// TestChaosNetQuarantineByteIdentical runs a network-plane scenario
+// through the CLI twice: a loopback cluster whose only worker is
+// quarantined by a partitioned first dispatch and revived by the
+// half-open probe once its gate opens. Both reports must match byte
+// for byte and say the merged results match the single-node bytes.
+func TestChaosNetQuarantineByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loopback cluster test")
+	}
+	args := []string{"chaos", "net-quarantine"}
+	first, err := capture(t, func() error { return run(args) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := capture(t, func() error { return run(args) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Fatalf("chaos runs differ:\n--- first\n%s--- second\n%s", first, second)
+	}
+	for _, want := range []string{"1 quarantines", "healthy (6 chips done)", "cluster results byte-identical to the single-node run"} {
+		if !strings.Contains(first, want) {
+			t.Fatalf("net-quarantine report missing %q:\n%s", want, first)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"eccspec/internal/chip"
 	"eccspec/internal/control"
 	"eccspec/internal/engine"
+	"eccspec/internal/experiments"
 	"eccspec/internal/workload"
 )
 
@@ -92,14 +93,17 @@ func sweepCmd(args []string, w io.Writer) error {
 		"core", "first error", "min safe", "error-free", "corr range")
 
 	for id := range c.Cores {
-		firstErr, minSafe := sweepCore(c, id, *ticks, *seed)
+		sw := experiments.SweepCore(c, id, *ticks, *seed)
+		if sw.MinSafeV == nominal {
+			fmt.Fprintf(os.Stderr, "eccspec sweep: core %d never crashed above 0.3 V\n", id)
+		}
 		errFree, corr := "n/a", "n/a"
-		if firstErr > 0 {
-			errFree = fmt.Sprintf("%.0f mV", 1000*(nominal-firstErr))
-			corr = fmt.Sprintf("%.0f mV", 1000*(firstErr-minSafe))
+		if sw.FirstErrV > 0 {
+			errFree = fmt.Sprintf("%.0f mV", 1000*(nominal-sw.FirstErrV))
+			corr = fmt.Sprintf("%.0f mV", 1000*(sw.FirstErrV-sw.MinSafeV))
 		}
 		fmt.Fprintf(w, "core %d  %-11s  %-10s  %-14s  %-10s\n",
-			id, fmtVolts(firstErr), fmtVolts(minSafe), errFree, corr)
+			id, fmtVolts(sw.FirstErrV), fmtVolts(sw.MinSafeV), errFree, corr)
 	}
 	return nil
 }
@@ -109,47 +113,6 @@ func fmtVolts(v float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.3f V", v)
-}
-
-// sweepCore runs the per-core characterization protocol, returning the
-// voltage of the first correctable error (0 if none) and the lowest
-// level the core survived.
-func sweepCore(c *chip.Chip, coreID, ticks int, seed uint64) (firstErr, minSafe float64) {
-	co := c.Cores[coreID]
-	co.SetWorkload(workload.StressTest(), seed)
-	dom := c.DomainOf(coreID)
-	nominal := c.P.Point.NominalVdd
-	minSafe = nominal
-	for v := nominal; v > 0.3; v -= dom.Rail.Params().StepV {
-		dom.Rail.SetTarget(v)
-		for _, cid := range dom.CoreIDs {
-			if cid != coreID {
-				c.Cores[cid].Revive()
-			}
-		}
-		crashed := false
-		engine.Ticks(c, nil, ticks, func(_ int, rep chip.TickReport, _ []control.Action) bool {
-			cr := rep.Cores[coreID]
-			if cr.CorrectedD+cr.CorrectedI+cr.CorrectedRF > 0 && firstErr == 0 {
-				firstErr = v
-			}
-			crashed = cr.Fatal
-			return !crashed
-		})
-		if crashed {
-			break
-		}
-		minSafe = v
-	}
-	dom.Rail.SetTarget(nominal)
-	for _, cid := range dom.CoreIDs {
-		c.Cores[cid].Revive()
-	}
-	co.SetWorkload(workload.Idle(), seed)
-	if minSafe == nominal {
-		fmt.Fprintf(os.Stderr, "eccspec sweep: core %d never crashed above 0.3 V\n", coreID)
-	}
-	return firstErr, minSafe
 }
 
 // errprofileCmd characterizes a chip's correctable-error profile from

@@ -126,7 +126,7 @@ func TestClusterWorkerKillByteIdenticalResults(t *testing.T) {
 	// Cluster topology: coordinator (journaling) + two workers.
 	dir := t.TempDir()
 	coord := startDaemon(t, "-coordinator -data-dir "+dir+" -checkpoint-interval 20 -worker-ttl 2s")
-	joinArgs := fmt.Sprintf("-join http://%s -workers 2 -heartbeat 100ms", coord.addr)
+	joinArgs := fmt.Sprintf("-join http://%s -workers 2", coord.addr)
 	w1 := startDaemon(t, joinArgs+" -worker-id w1")
 	startDaemon(t, joinArgs+" -worker-id w2")
 	waitClusterHealthy(t, coord, 2)
@@ -277,7 +277,7 @@ func TestWorkerHealthzReportsCoordinator(t *testing.T) {
 		t.Skip("subprocess test")
 	}
 	coord := startDaemon(t, "-coordinator")
-	w := startDaemon(t, fmt.Sprintf("-join http://%s -worker-id wz -heartbeat 100ms", coord.addr))
+	w := startDaemon(t, fmt.Sprintf("-join http://%s -worker-id wz", coord.addr))
 	waitClusterHealthy(t, coord, 1)
 	code, body := w.get(t, "/healthz")
 	if code != http.StatusOK {

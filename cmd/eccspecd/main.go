@@ -10,8 +10,8 @@
 //	         [-retention D] [-max-jobs N] [-chaos-plan FILE]
 //	         [-rate-limit R] [-rate-burst N]
 //	         [-coordinator | -join URL] [-worker-id ID] [-public-url URL]
-//	         [-heartbeat D] [-worker-ttl D] [-worker-wait D]
-//	         [-cluster-batch N] [-quarantine-after N] [-probe-delay D]
+//	         [-worker-ttl D] [-worker-wait D]
+//	         [-quarantine-after N] [-probe-delay D]
 //	         [-stall-timeout D] [-version]
 //
 // With -data-dir, the daemon journals every accepted job, per-chip
@@ -43,8 +43,10 @@
 // workers for idle ones and migrating in-flight chips (with their
 // freshest checkpoints) off dead or degraded workers — merged results
 // stay byte-identical to a single-node run. A -join URL daemon is a
-// worker: it registers with the coordinator, heartbeats its health, and
-// executes dispatched chip ranges. With -data-dir, a coordinator also
+// worker: it registers with the coordinator, heartbeats its health five
+// times per coordinator -worker-ttl (the registration answer carries
+// it), and executes dispatched chip ranges, each as many chips as its
+// -workers pool runs at once. With -data-dir, a coordinator also
 // journals jobs and chip placement, so restarting it resumes the job as
 // its workers re-register.
 //
@@ -112,10 +114,8 @@ type options struct {
 	join            string
 	workerID        string
 	publicURL       string
-	heartbeat       time.Duration
 	workerTTL       time.Duration
 	workerWait      time.Duration
-	clusterBatch    int
 	quarantineAfter int
 	probeDelay      time.Duration
 	stallTimeout    time.Duration
@@ -150,13 +150,10 @@ func main() {
 		"this worker's cluster identity (default hostname-pid)")
 	flag.StringVar(&o.publicURL, "public-url", "",
 		"base URL the coordinator dials this worker back on (default http://<listen addr>)")
-	flag.DurationVar(&o.heartbeat, "heartbeat", 2*time.Second,
-		"worker heartbeat interval in cluster mode")
 	flag.DurationVar(&o.workerTTL, "worker-ttl", cluster.DefaultTTL,
-		"coordinator declares a worker dead after this long without a heartbeat")
+		"coordinator declares a worker dead after this long without a heartbeat (workers beat every fifth of it)")
 	flag.DurationVar(&o.workerWait, "worker-wait", 30*time.Second,
 		"how long a coordinator job waits for a healthy worker before failing")
-	flag.IntVar(&o.clusterBatch, "cluster-batch", 16, "max chips per cluster dispatch")
 	flag.IntVar(&o.quarantineAfter, "quarantine-after", cluster.DefaultQuarantineAfter,
 		"consecutive dispatch failures before a worker is quarantined")
 	flag.DurationVar(&o.probeDelay, "probe-delay", cluster.DefaultProbeDelay,
@@ -237,7 +234,6 @@ func run(o options) error {
 		membership.SetQuarantinePolicy(o.quarantineAfter, o.probeDelay)
 		coord := cluster.New(cluster.Config{
 			Membership:   membership,
-			MaxBatch:     o.clusterBatch,
 			WorkerWait:   o.workerWait,
 			StallTimeout: o.stallTimeout,
 			Retry:        rpcRetry,
@@ -316,7 +312,6 @@ func run(o options) error {
 		}
 		go cluster.RunMember(ctx, cluster.MemberConfig{
 			Coordinator: o.join,
-			Interval:    o.heartbeat,
 			Degraded:    s.health,
 			Client:      &http.Client{Timeout: 10 * time.Second, Transport: rpcTransport},
 			Info: cluster.RegisterRequest{

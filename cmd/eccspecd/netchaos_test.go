@@ -86,8 +86,8 @@ func TestClusterNetChaosByteIdenticalResults(t *testing.T) {
 		{"kind":"net-dup-events","target":"exec","start":3,"duration":1},
 		{"kind":"net-slow","target":"exec","start":4,"duration":2,"delay_ms":10}
 	]}`)
-	coord := startDaemon(t, "-coordinator -cluster-batch 2 -worker-ttl 5s -stall-timeout 30s -chaos-plan "+plan)
-	joinArgs := fmt.Sprintf("-join http://%s -workers 2 -heartbeat 100ms", coord.addr)
+	coord := startDaemon(t, "-coordinator -worker-ttl 5s -stall-timeout 30s -chaos-plan "+plan)
+	joinArgs := fmt.Sprintf("-join http://%s -workers 2", coord.addr)
 	w1 := startDaemon(t, joinArgs+" -worker-id w1")
 	w2 := startDaemon(t, joinArgs+" -worker-id w2")
 	waitClusterHealthy(t, coord, 2)
@@ -186,8 +186,8 @@ func TestClusterNetChaosQuarantineRecovers(t *testing.T) {
 	plan := writeChaosPlan(t, `{"seed":7,"faults":[
 		{"kind":"net-partition","target":"exec","start":0,"duration":1}
 	]}`)
-	coord := startDaemon(t, "-coordinator -cluster-batch 2 -quarantine-after 1 -probe-delay 100ms -chaos-plan "+plan)
-	w := startDaemon(t, fmt.Sprintf("-join http://%s -workers 2 -heartbeat 100ms -worker-id solo", coord.addr))
+	coord := startDaemon(t, "-coordinator -quarantine-after 1 -probe-delay 100ms -chaos-plan "+plan)
+	w := startDaemon(t, fmt.Sprintf("-join http://%s -workers 2 -worker-id solo", coord.addr))
 	waitClusterHealthy(t, coord, 1)
 
 	code, sub := coord.post(t, "/v1/fleets", netChaosFleetBody)

@@ -355,7 +355,9 @@ func (f runnerFunc) Run(ctx context.Context, job fleet.Job, onProgress func(done
 // names what is wrong with the other two seeds. The unfinished job keeps
 // its readable chip, re-runs the unreadable and the missing seed (the
 // second from its checkpoint), and reports a seed the run returned no
-// result for as not simulated.
+// result for as not simulated. While it waits in the queue, it counts
+// only its readable chip as done. A higher-priority unfinished job holds
+// the runner until that count has been read.
 func TestRecoveredResultsMerge(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{NoSync: true})
 	if err != nil {
@@ -378,6 +380,7 @@ func TestRecoveredResultsMerge(t *testing.T) {
 		st.RecordChip(2, good(20)),
 		st.RecordChip(2, unreadable(21)),
 		st.RecordCheckpoint(2, 22, 5, []byte("ckpt-22")),
+		st.AddJob(3, fleet.Job{Seeds: []uint64{30}, Seconds: 0.01, Priority: fleet.MaxPriority}),
 	} {
 		if err != nil {
 			t.Fatal(err)
@@ -385,7 +388,12 @@ func TestRecoveredResultsMerge(t *testing.T) {
 	}
 
 	ran := make(chan fleet.Job, 1)
+	release := make(chan struct{})
 	run := runnerFunc(func(ctx context.Context, job fleet.Job, onProgress func(done, total int)) ([]fleet.ChipResult, error) {
+		if job.Priority == fleet.MaxPriority {
+			<-release
+			return nil, nil
+		}
 		ran <- job
 		var out []fleet.ChipResult
 		for _, seed := range job.Seeds {
@@ -424,6 +432,13 @@ func TestRecoveredResultsMerge(t *testing.T) {
 		"11 ticks=0 err=stored result unreadable: snapshot: trace state has no columns",
 		"12 ticks=0 err=result missing from store",
 	})
+
+	code, status := getJSON(t, ts.URL+"/v1/fleets/f-2")
+	if code != http.StatusOK || status["status"] != statusQueued || status["chips_done"] != 1.0 {
+		t.Errorf("f-2 before it runs: HTTP %d, status %v, chips_done %v; want queued with 1 chip done",
+			code, status["status"], status["chips_done"])
+	}
+	close(release)
 
 	job := <-ran
 	if got := fmt.Sprint(job.Seeds); got != "[21 22 23]" {

@@ -343,23 +343,24 @@ func (s *server) chipObservers(seed uint64) []engine.Observer {
 func (s *server) recover() []*fleetJob {
 	var resume []*fleetJob
 	for _, rec := range s.cfg.store.Jobs() {
+		// An unreadable record is pending, not done: runJob re-runs it.
+		results, pending := storedResults(rec.Spec.Seeds, rec.Chips)
 		j := &fleetJob{
 			ID:        fmt.Sprintf("f-%d", rec.ID),
 			Num:       rec.ID,
 			Job:       rec.Spec,
-			ChipsDone: len(rec.Chips),
+			ChipsDone: len(results) - len(pending),
 		}
 		if rec.Completed {
 			at := time.Unix(rec.CompletedUnix, 0)
 			j.Submitted, j.Started = at, at
-			results, _ := storedResults(rec.Spec.Seeds, rec.Chips)
 			j.finish(results, nil, at)
 		} else {
 			j.Submitted = s.cfg.now()
 			j.Status = statusQueued
 			resume = append(resume, j)
 			log.Printf("eccspecd: recovered unfinished fleet %s (%d/%d chips done, %d checkpoints)",
-				j.ID, len(rec.Chips), len(rec.Spec.Seeds), len(rec.Checkpoints))
+				j.ID, j.ChipsDone, len(rec.Spec.Seeds), len(rec.Checkpoints))
 		}
 		s.jobs[j.ID] = j
 		s.order = append(s.order, j.ID)

@@ -21,7 +21,7 @@ import (
 )
 
 // chaosCoordinator builds a coordinator whose dispatch client rides the
-// plan's injected transport, with test-sized retry and poll knobs.
+// plan's injected transport, with test-sized retry knobs.
 func chaosCoordinator(t *testing.T, m *Membership, in *faultinject.Injector, stall time.Duration) *Coordinator {
 	t.Helper()
 	if stall <= 0 {
@@ -29,9 +29,7 @@ func chaosCoordinator(t *testing.T, m *Membership, in *faultinject.Injector, sta
 	}
 	return New(Config{
 		Membership:   m,
-		MaxBatch:     2,
 		WorkerWait:   10 * time.Second,
-		Poll:         5 * time.Millisecond,
 		StallTimeout: stall,
 		Retry: store.RetryPolicy{
 			BaseDelay:  2 * time.Millisecond,

@@ -116,8 +116,9 @@ type RegisterRequest struct {
 
 // RegisterResponse acknowledges a registration.
 type RegisterResponse struct {
-	// TTL is the liveness window in seconds: a worker silent for
-	// longer is declared dead and its chips migrate.
+	// TTL is the liveness window in seconds: a worker silent this
+	// long is declared dead and its chips migrate. The worker
+	// heartbeats five times per window.
 	TTLSeconds float64 `json:"ttl_seconds"`
 }
 

@@ -82,7 +82,6 @@ func newTestCoordinator(m *Membership) *Coordinator {
 	return New(Config{
 		Membership: m,
 		WorkerWait: 10 * time.Second,
-		Poll:       10 * time.Millisecond,
 		Logf:       func(string, ...any) {},
 	})
 }
@@ -143,8 +142,9 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 }
 
 // TestClusterPropertyRandomized fuzzes the topology: random worker
-// counts, slot counts, batch caps, and seed sets must all merge to the
-// single-node bytes. Fixed rand seed keeps failures reproducible.
+// counts, slot counts (and with them batch sizes), and seed sets must
+// all merge to the single-node bytes. Fixed rand seed keeps failures
+// reproducible.
 func TestClusterPropertyRandomized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation test")
@@ -165,14 +165,7 @@ func TestClusterPropertyRandomized(t *testing.T) {
 		for w := 0; w < workers; w++ {
 			startWorker(t, m, fmt.Sprintf("r%d-w%d", round, w), 1+rng.Intn(3))
 		}
-		c := New(Config{
-			Membership: m,
-			MaxBatch:   1 + rng.Intn(4),
-			WorkerWait: 10 * time.Second,
-			Poll:       10 * time.Millisecond,
-			Logf:       func(string, ...any) {},
-		})
-		res, err := c.Run(context.Background(), job, nil)
+		res, err := newTestCoordinator(m).Run(context.Background(), job, nil)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -326,7 +319,6 @@ func TestNoWorkersFailsFast(t *testing.T) {
 	c := New(Config{
 		Membership: NewMembership(time.Minute),
 		WorkerWait: 50 * time.Millisecond,
-		Poll:       5 * time.Millisecond,
 		Logf:       func(string, ...any) {},
 	})
 	res, err := c.Run(context.Background(), testJob(1, 2), nil)

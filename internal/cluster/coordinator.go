@@ -65,19 +65,10 @@ type Config struct {
 	// canceled, counted in Stats.StreamsStalled, and its chips
 	// re-dispatched from their freshest checkpoints; <= 0 selects 60s.
 	StallTimeout time.Duration
-	// MaxBatch caps chips per dispatch; <= 0 selects 16. A worker's
-	// batch is min(its registered slots, MaxBatch), so one dispatch
-	// keeps the worker's whole pool busy without hoarding chips that
-	// an idle peer could steal.
-	MaxBatch int
 	// WorkerWait bounds how long a run waits for a healthy worker —
 	// at the start, and again whenever the whole population dies
 	// mid-job; <= 0 selects 30s.
 	WorkerWait time.Duration
-	// Poll is the membership rescan interval while a job runs: how
-	// quickly dead workers are detected beyond stream errors, and how
-	// quickly late joiners are put to work; <= 0 selects 250ms.
-	Poll time.Duration
 	// Logf substitutes the logger; nil selects log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -131,14 +122,8 @@ type Coordinator struct {
 
 // New builds a coordinator over the membership.
 func New(cfg Config) *Coordinator {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 16
-	}
 	if cfg.WorkerWait <= 0 {
 		cfg.WorkerWait = 30 * time.Second
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 250 * time.Millisecond
 	}
 	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 60 * time.Second
@@ -357,6 +342,7 @@ func (c *Coordinator) Run(ctx context.Context, job fleet.Job, onProgress func(do
 		wg       sync.WaitGroup
 		agentsMu sync.Mutex
 		agents   = make(map[string]context.CancelFunc)
+		exited   = make(chan struct{}, 1) // an agent retired since the last scan
 	)
 	spawn := func(m Member) {
 		run.sched.addWorker(m.ID)
@@ -372,12 +358,22 @@ func (c *Coordinator) Run(ctx context.Context, job fleet.Job, onProgress func(do
 			agentsMu.Lock()
 			delete(agents, m.ID)
 			agentsMu.Unlock()
+			select {
+			case exited <- struct{}{}:
+			default:
+			}
 		}()
 	}
 	for _, m := range members {
 		spawn(m)
 	}
 
+	// The monitor rescans the membership when something it depends on
+	// happens, never on a fixed period: the last chip completing, a
+	// membership change, an agent retiring, or the next moment the view
+	// can change by itself — a live member's TTL running out, a
+	// quarantined member's probe gate opening, or the stall window
+	// closing, all three timed on the membership's clock.
 	var stallSince time.Time
 	var runErr error
 	for !run.sched.finished() {
@@ -385,9 +381,18 @@ func (c *Coordinator) Run(ctx context.Context, job fleet.Job, onProgress func(do
 			runErr = ctx.Err()
 			break
 		}
+		view, now, changed := c.cfg.Membership.watch()
+		next := now.Add(c.cfg.WorkerWait) // a bound; anything due sooner replaces it
+		due := func(t time.Time) {
+			if t.Before(next) {
+				next = t
+			}
+		}
 		healthy := 0
-		now := time.Now()
-		for _, m := range c.cfg.Membership.Snapshot() {
+		for _, m := range view {
+			if m.State != StateDead {
+				due(m.LastBeat.Add(c.cfg.Membership.TTL()))
+			}
 			agentsMu.Lock()
 			cancel, running := agents[m.ID]
 			agentsMu.Unlock()
@@ -402,7 +407,11 @@ func (c *Coordinator) Run(ctx context.Context, job fleet.Job, onProgress func(do
 				// the worker one agent whose first dispatch is a trial
 				// batch of one chip. A running probe is left alone —
 				// its own success or failure settles the state.
-				if !running && !now.Before(m.ProbeAt) {
+				switch {
+				case running:
+				case now.Before(m.ProbeAt):
+					due(m.ProbeAt)
+				default:
 					c.logf("cluster: probing quarantined worker %s with a trial dispatch", m.ID)
 					spawn(m)
 				}
@@ -412,13 +421,26 @@ func (c *Coordinator) Run(ctx context.Context, job fleet.Job, onProgress func(do
 		}
 		if healthy > 0 {
 			stallSince = time.Time{}
-		} else if stallSince.IsZero() {
-			stallSince = time.Now()
-		} else if time.Since(stallSince) > c.cfg.WorkerWait {
-			runErr = fmt.Errorf("cluster: job stalled: no healthy workers for %v", c.cfg.WorkerWait)
-			break
+		} else {
+			if stallSince.IsZero() {
+				stallSince = now
+			}
+			giveUp := stallSince.Add(c.cfg.WorkerWait)
+			if !now.Before(giveUp) {
+				runErr = fmt.Errorf("cluster: job stalled: no healthy workers for %v", c.cfg.WorkerWait)
+				break
+			}
+			due(giveUp)
 		}
-		sleepCtx(ctx, c.cfg.Poll)
+		wake := time.NewTimer(next.Sub(now))
+		select {
+		case <-run.sched.over:
+		case <-ctx.Done():
+		case <-changed:
+		case <-exited:
+		case <-wake.C:
+		}
+		wake.Stop()
 	}
 	run.sched.cancel()
 	wg.Wait()
@@ -435,18 +457,20 @@ func (c *Coordinator) Run(ctx context.Context, job fleet.Job, onProgress func(do
 // waitWorkers blocks until the membership has at least one healthy
 // worker, up to WorkerWait.
 func (c *Coordinator) waitWorkers(ctx context.Context) ([]Member, error) {
-	deadline := time.Now().Add(c.cfg.WorkerWait)
+	timeout := time.NewTimer(c.cfg.WorkerWait)
+	defer timeout.Stop()
 	for {
-		if members := c.cfg.Membership.Healthy(); len(members) > 0 {
-			return members, nil
+		members, _, changed := c.cfg.Membership.watch()
+		if h := healthyOnly(members); len(h) > 0 {
+			return h, nil
 		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if time.Now().After(deadline) {
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-timeout.C:
 			return nil, fmt.Errorf("cluster: no healthy workers registered within %v", c.cfg.WorkerWait)
 		}
-		sleepCtx(ctx, c.cfg.Poll)
 	}
 }
 
@@ -461,13 +485,9 @@ func (c *Coordinator) waitWorkers(ctx context.Context) ([]Member, error) {
 // half-open probe when the quarantine backoff gate passes; that
 // agent's first dispatch is a trial batch of one chip.
 func (c *Coordinator) agent(ctx context.Context, run *runState, m Member) {
-	batch := m.Slots
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > c.cfg.MaxBatch {
-		batch = c.cfg.MaxBatch
-	}
+	// One dispatch fills the worker's whole pool; anything more would
+	// hoard chips an idle peer could steal.
+	batch := max(m.Slots, 1)
 	trial := m.State == StateQuarantined
 	fails := 0
 	for {

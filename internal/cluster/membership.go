@@ -3,8 +3,8 @@ package cluster
 // Membership is the coordinator's view of the worker population:
 // who has registered, who is still heartbeating, and who has gone
 // degraded or silent. It is pure bookkeeping — scheduling reacts to
-// it, but never mutates it except to report a failed dispatch via
-// MarkDead.
+// it, but never mutates it except to report dispatch outcomes via
+// RecordExecFailure and RecordExecSuccess.
 
 import (
 	"sort"
@@ -28,9 +28,9 @@ const (
 	// half-open trial dispatch (after ProbeAt) revives them; a failed
 	// trial re-quarantines with a doubled probe delay.
 	StateQuarantined = "quarantined"
-	// StateDead workers missed their TTL or broke a dispatch stream;
-	// everything they held migrates. A dead worker that registers or
-	// heartbeats again is revived.
+	// StateDead workers missed their TTL; everything they held
+	// migrates. A dead worker that registers or heartbeats again is
+	// revived.
 	StateDead = "dead"
 )
 
@@ -63,6 +63,9 @@ type Membership struct {
 	members map[string]*Member
 	ttl     time.Duration
 	now     func() time.Time
+	// changed is closed, and replaced, whenever a member's state moves
+	// for a reason other than TTL expiry; see watch.
+	changed chan struct{}
 
 	quarantineAfter int
 	probeDelay      time.Duration
@@ -92,6 +95,7 @@ func NewMembership(ttl time.Duration) *Membership {
 		members:         make(map[string]*Member),
 		ttl:             ttl,
 		now:             time.Now,
+		changed:         make(chan struct{}),
 		quarantineAfter: DefaultQuarantineAfter,
 		probeDelay:      DefaultProbeDelay,
 	}
@@ -122,6 +126,12 @@ func (m *Membership) SetClock(now func() time.Time) {
 // TTL returns the liveness window.
 func (m *Membership) TTL() time.Duration { return m.ttl }
 
+// notifyLocked wakes every watcher. Caller holds m.mu.
+func (m *Membership) notifyLocked() {
+	close(m.changed)
+	m.changed = make(chan struct{})
+}
+
 // Join registers a worker, or revives/updates one that already
 // exists. It reports whether the ID was new. A quarantined worker
 // stays quarantined: re-registering proves the process is alive, not
@@ -143,6 +153,7 @@ func (m *Membership) Join(req RegisterRequest) bool {
 		w.Reason = ""
 	}
 	w.LastBeat = now
+	m.notifyLocked()
 	return !ok
 }
 
@@ -159,6 +170,7 @@ func (m *Membership) Heartbeat(req HeartbeatRequest) bool {
 		return false
 	}
 	w.LastBeat = m.now()
+	was := w.State
 	switch {
 	case req.Degraded:
 		// A degraded self-report supersedes quarantine: the worker is
@@ -172,18 +184,10 @@ func (m *Membership) Heartbeat(req HeartbeatRequest) bool {
 		w.State = StateHealthy
 		w.Reason = ""
 	}
-	return true
-}
-
-// MarkDead declares a worker dead out-of-band — the scheduler calls it
-// when a dispatch stream breaks before the TTL does.
-func (m *Membership) MarkDead(id, reason string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if w := m.members[id]; w != nil {
-		w.State = StateDead
-		w.Reason = reason
+	if w.State != was {
+		m.notifyLocked()
 	}
+	return true
 }
 
 // RecordExecFailure counts one failed dispatch against the worker and
@@ -212,6 +216,7 @@ func (m *Membership) RecordExecFailure(id, reason string) bool {
 		backoff = 6
 	}
 	w.ProbeAt = m.now().Add(m.probeDelay << backoff)
+	m.notifyLocked()
 	return true
 }
 
@@ -230,6 +235,7 @@ func (m *Membership) RecordExecSuccess(id string) {
 	if w.State == StateQuarantined {
 		w.State = StateHealthy
 		w.Reason = ""
+		m.notifyLocked()
 	}
 }
 
@@ -241,12 +247,12 @@ func (m *Membership) Quarantines() int64 {
 	return m.quarantines
 }
 
-// expireLocked applies the TTL: any non-dead worker silent past it is
-// declared dead. Caller holds m.mu.
-func (m *Membership) expireLocked() {
-	cutoff := m.now().Add(-m.ttl)
+// expireLocked applies the TTL at now: any non-dead worker silent for
+// the TTL or longer is declared dead. Caller holds m.mu.
+func (m *Membership) expireLocked(now time.Time) {
+	cutoff := now.Add(-m.ttl)
 	for _, w := range m.members {
-		if w.State != StateDead && w.LastBeat.Before(cutoff) {
+		if w.State != StateDead && !w.LastBeat.After(cutoff) {
 			w.State = StateDead
 			w.Reason = "heartbeat TTL expired"
 		}
@@ -255,20 +261,33 @@ func (m *Membership) expireLocked() {
 
 // Snapshot returns every member, expiry applied, sorted by ID.
 func (m *Membership) Snapshot() []Member {
+	members, _, _ := m.watch()
+	return members
+}
+
+// watch is Snapshot for a watcher: it also returns the membership
+// clock's reading the snapshot was taken at, and a channel closed by
+// the next state change — a Join, a Heartbeat that moves a member's
+// state, a quarantine or a revival. TTL expiry closes nothing; it is
+// due at LastBeat+TTL on the same clock, so a watcher times it itself.
+func (m *Membership) watch() ([]Member, time.Time, <-chan struct{}) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.expireLocked()
+	now := m.now()
+	m.expireLocked(now)
 	out := make([]Member, 0, len(m.members))
 	for _, w := range m.members {
 		out = append(out, *w)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out, now, m.changed
 }
 
 // Healthy returns the healthy members, expiry applied, sorted by ID.
-func (m *Membership) Healthy() []Member {
-	all := m.Snapshot()
+func (m *Membership) Healthy() []Member { return healthyOnly(m.Snapshot()) }
+
+// healthyOnly filters members down to the healthy ones, in place.
+func healthyOnly(all []Member) []Member {
 	out := all[:0]
 	for _, w := range all {
 		if w.State == StateHealthy {

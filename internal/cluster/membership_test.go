@@ -66,11 +66,12 @@ func TestMembershipLifecycle(t *testing.T) {
 		t.Fatal("late heartbeat did not revive the worker")
 	}
 
-	m.MarkDead("w1", "stream broke")
+	// Silence of exactly the TTL is enough to kill it.
+	advance(10 * time.Second)
 	if c := m.Counts(); c.Healthy != 0 || c.Dead != 1 {
-		t.Fatal("MarkDead did not kill the worker")
+		t.Fatal("a worker silent for the TTL is not dead")
 	}
-	// Re-registration revives even an explicitly dead worker.
+	// Re-registration revives a dead worker too.
 	m.Join(RegisterRequest{ID: "w1", URL: "http://a3", Slots: 2})
 	if len(m.Healthy()) != 1 {
 		t.Fatal("re-registration did not revive the worker")
@@ -254,6 +255,11 @@ func TestSchedulerMigration(t *testing.T) {
 	}
 	if !s.finished() {
 		t.Fatal("all chips completed but finished() is false")
+	}
+	select {
+	case <-s.over:
+	default:
+		t.Fatal("all chips completed but the completion channel is open")
 	}
 }
 

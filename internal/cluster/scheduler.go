@@ -22,7 +22,10 @@ type scheduler struct {
 	inflight  map[int]string   // chip index -> worker currently running it
 	orphans   []int            // chips re-queued off dead/degraded workers
 
-	canceled bool
+	// over is closed once every chip has completed or the run was
+	// canceled; ended records that it is.
+	over  chan struct{}
+	ended bool
 
 	stolen   int64 // chips moved by stealing
 	migrated int64 // in-flight chips re-queued off a failed worker
@@ -34,6 +37,7 @@ func newScheduler(total int) *scheduler {
 		completed: make([]bool, total),
 		queues:    make(map[string][]int),
 		inflight:  make(map[int]string),
+		over:      make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -70,7 +74,7 @@ func (s *scheduler) next(id string, max int) ([]int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if s.canceled || s.done == s.total {
+		if s.ended {
 			return nil, false
 		}
 		if _, ok := s.queues[id]; !ok {
@@ -131,6 +135,9 @@ func (s *scheduler) claimComplete(chip int) (first bool, done int) {
 	}
 	s.completed[chip] = true
 	s.done++
+	if s.done == s.total {
+		s.endLocked()
+	}
 	s.cond.Broadcast()
 	return true, s.done
 }
@@ -187,7 +194,7 @@ func (s *scheduler) removeWorker(id string) {
 func (s *scheduler) cancel() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.canceled = true
+	s.endLocked()
 	s.cond.Broadcast()
 }
 
@@ -196,6 +203,14 @@ func (s *scheduler) finished() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.done == s.total
+}
+
+// endLocked closes over once. Caller holds s.mu.
+func (s *scheduler) endLocked() {
+	if !s.ended {
+		s.ended = true
+		close(s.over)
+	}
 }
 
 // inFlightOn counts chips currently running on worker id.

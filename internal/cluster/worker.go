@@ -140,11 +140,6 @@ type MemberConfig struct {
 	Coordinator string
 	// Info is this worker's registration record.
 	Info RegisterRequest
-	// Interval is the heartbeat period; <= 0 selects 2s. Each wait is
-	// jittered by ±1/8 of the period from the worker's seeded stream,
-	// so a fleet of workers that lost their coordinator at the same
-	// instant drifts apart instead of knocking in lockstep.
-	Interval time.Duration
 	// Retry shapes the registration backoff: failed register attempts
 	// wait exponentially longer with deterministic seeded jitter. The
 	// zero value selects 250ms base, 4s cap; a zero JitterSeed derives
@@ -164,15 +159,16 @@ type MemberConfig struct {
 
 // RunMember registers the worker with the coordinator (retrying with
 // jittered exponential backoff until it succeeds — the coordinator may
-// come up later) and then heartbeats every Interval until ctx is
-// canceled. A heartbeat answered 404 means the coordinator restarted
+// come up later) and then heartbeats until ctx is canceled, five times
+// per liveness TTL the registration answer names (DefaultTTL when it
+// names none). Each wait is jittered by ±1/8 of the period from the
+// worker's seeded stream, so a fleet of workers that lost their
+// coordinator at the same instant drifts apart instead of knocking in
+// lockstep. A heartbeat answered 404 means the coordinator restarted
 // and lost its membership, so the loop re-registers — that is what
 // lets a restarted coordinator resume a journaled job: its workers
 // walk right back in, desynchronized by their per-worker jitter.
 func RunMember(ctx context.Context, cfg MemberConfig) {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
-	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 10 * time.Second, Transport: NewTransport()}
 	}
@@ -193,7 +189,8 @@ func RunMember(ctx context.Context, cfg MemberConfig) {
 		logf = log.Printf
 	}
 
-	post := func(path string, v any) (int, error) {
+	// post sends v and decodes a 200 answer into out, when out is set.
+	post := func(path string, v, out any) (int, error) {
 		body, err := json.Marshal(v)
 		if err != nil {
 			return 0, err
@@ -208,31 +205,45 @@ func RunMember(ctx context.Context, cfg MemberConfig) {
 		if err != nil {
 			return 0, err
 		}
+		defer resp.Body.Close()
+		if out != nil && resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				return resp.StatusCode, fmt.Errorf("decoding answer: %w", err)
+			}
+		}
 		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 		return resp.StatusCode, nil
 	}
 
+	// The heartbeat period is a fifth of the TTL the coordinator
+	// answers the registration with.
+	var interval time.Duration
 	register := func() bool {
-		code, err := post(PathRegister, cfg.Info)
+		var ack RegisterResponse
+		code, err := post(PathRegister, cfg.Info, &ack)
 		if err != nil || code != http.StatusOK {
 			if ctx.Err() == nil {
 				logf("cluster: registering with %s: code %d err %v (will retry)", cfg.Coordinator, code, err)
 			}
 			return false
 		}
-		logf("cluster: registered with %s as %s", cfg.Coordinator, cfg.Info.ID)
+		ttl := time.Duration(ack.TTLSeconds * float64(time.Second))
+		if ttl <= 0 {
+			ttl = DefaultTTL
+		}
+		interval = ttl / 5
+		logf("cluster: registered with %s as %s (heartbeat every %v)", cfg.Coordinator, cfg.Info.ID, interval)
 		return true
 	}
 
-	// beatWait is the jittered heartbeat period: Interval ± 1/8,
+	// beatWait is the jittered heartbeat period: interval ± 1/8,
 	// drawn from the worker's seeded stream.
 	beatWait := func() time.Duration {
-		j := cfg.Interval / 8
+		j := interval / 8
 		if j <= 0 {
-			return cfg.Interval
+			return interval
 		}
-		return cfg.Interval - j + time.Duration(jitter.Uint64()%uint64(2*j+1))
+		return interval - j + time.Duration(jitter.Uint64()%uint64(2*j+1))
 	}
 
 	for ctx.Err() == nil {
@@ -259,7 +270,7 @@ func RunMember(ctx context.Context, cfg MemberConfig) {
 			if cfg.Degraded != nil {
 				hb.Degraded, hb.Reason = cfg.Degraded()
 			}
-			code, err := post(PathHeartbeat, hb)
+			code, err := post(PathHeartbeat, hb, nil)
 			switch {
 			case err != nil:
 				if ctx.Err() == nil {

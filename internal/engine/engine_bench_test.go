@@ -133,7 +133,12 @@ func TestCheckpointObserverResume(t *testing.T) {
 			blob = b
 			return nil
 		}},
-		engine.StopWhen(func(v engine.View) bool { return v.Tick >= cut }),
+		engine.Funcs{Tick: func(v engine.View) error {
+			if v.Tick >= cut {
+				return engine.ErrStop
+			}
+			return nil
+		}},
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -131,7 +131,12 @@ func TestErrStopEndsRunCleanly(t *testing.T) {
 	sim := &fakeSim{}
 	rec := &recorder{}
 	rep, err := Run(context.Background(), sim, Config{Until: 10, Observers: []Observer{
-		StopWhen(func(v View) bool { return v.Tick >= 4 }),
+		Funcs{Tick: func(v View) error {
+			if v.Tick >= 4 {
+				return ErrStop
+			}
+			return nil
+		}},
 		rec,
 	}})
 	if err != nil {
@@ -204,27 +209,6 @@ func TestEveryNUsesAbsoluteTicks(t *testing.T) {
 	}
 }
 
-func TestProgressReportsRelativeTicks(t *testing.T) {
-	sim := &fakeSim{}
-	type call struct{ done, total int }
-	var calls []call
-	_, err := Run(context.Background(), sim, Config{Start: 100, Until: 110, Observers: []Observer{
-		&Progress{Every: 5, Fn: func(done, total int) { calls = append(calls, call{done, total}) }},
-	}})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := []call{{5, 10}, {10, 10}, {10, 10}} // every 5, plus the stop flush
-	if len(calls) != len(want) {
-		t.Fatalf("Progress calls = %v, want %v", calls, want)
-	}
-	for i := range want {
-		if calls[i] != want[i] {
-			t.Fatalf("Progress calls = %v, want %v", calls, want)
-		}
-	}
-}
-
 func TestCountTicksBatchesAndFlushes(t *testing.T) {
 	sim := &fakeSim{}
 	var adds []int64
@@ -241,19 +225,6 @@ func TestCountTicksBatchesAndFlushes(t *testing.T) {
 	want := []int64{4, 4, 2} // two full batches, remainder flushed at stop
 	if len(adds) != len(want) || adds[0] != 4 || adds[1] != 4 || adds[2] != 2 {
 		t.Fatalf("Add batches = %v, want %v", adds, want)
-	}
-}
-
-func TestDeadlineStopsOnCheckBoundary(t *testing.T) {
-	sim := &fakeSim{}
-	rep, err := Run(context.Background(), sim, Config{Until: 1000, Observers: []Observer{
-		&Deadline{Budget: 0, CheckEvery: 3}, // already expired at the first check
-	}})
-	if err != nil {
-		t.Fatalf("Run error = %v, want nil (deadline is a clean stop)", err)
-	}
-	if rep.Tick != 3 || rep.Stopped {
-		t.Fatalf("report = %+v, want Tick=3 Stopped=false", rep)
 	}
 }
 

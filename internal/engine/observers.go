@@ -1,13 +1,11 @@
 package engine
 
 // Stock observers: the cross-cutting concerns the hand-rolled loops
-// used to wire inline — periodic actions, stop conditions, progress and
-// counter reporting — expressed as composable Observer values. Layers
-// with richer needs (snapshot checkpointing, trace sampling off a full
+// used to wire inline — periodic actions and counter reporting —
+// expressed as composable Observer values. Layers with richer needs
+// (stop conditions, snapshot checkpointing, trace sampling off a full
 // Simulator) build on Funcs and EveryN rather than re-implementing the
 // loop.
-
-import "time"
 
 // Funcs adapts plain functions to Observer; nil fields are no-ops.
 type Funcs struct {
@@ -60,88 +58,6 @@ func (e EveryN) OnTick(v View) error {
 
 // OnStop implements Observer.
 func (e EveryN) OnStop(View, error) {}
-
-// StopWhen ends the run cleanly (ErrStop) once the predicate holds —
-// an error-rate ceiling, a convergence test, any condition readable
-// off the View.
-type StopWhen func(v View) bool
-
-// OnStart implements Observer.
-func (s StopWhen) OnStart(View) error { return nil }
-
-// OnTick implements Observer.
-func (s StopWhen) OnTick(v View) error {
-	if s(v) {
-		return ErrStop
-	}
-	return nil
-}
-
-// OnStop implements Observer.
-func (s StopWhen) OnStop(View, error) {}
-
-// Deadline ends the run cleanly once wall-clock time exceeds the
-// budget, checking the clock every CheckEvery ticks (default 1000) to
-// keep time.Now off the hot path.
-type Deadline struct {
-	Budget     time.Duration
-	CheckEvery int
-
-	start time.Time
-}
-
-// OnStart implements Observer.
-func (d *Deadline) OnStart(View) error {
-	d.start = time.Now()
-	return nil
-}
-
-// OnTick implements Observer.
-func (d *Deadline) OnTick(v View) error {
-	every := d.CheckEvery
-	if every <= 0 {
-		every = 1000
-	}
-	if v.Tick%every != 0 {
-		return nil
-	}
-	if time.Since(d.start) > d.Budget {
-		return ErrStop
-	}
-	return nil
-}
-
-// OnStop implements Observer.
-func (d *Deadline) OnStop(View, error) {}
-
-// Progress reports run progress through Fn(done, total) every Every
-// ticks and once more at stop. done counts ticks completed this run
-// (relative to Start), total the ticks requested.
-type Progress struct {
-	Every int
-	Fn    func(done, total int)
-
-	start int
-}
-
-// OnStart implements Observer.
-func (p *Progress) OnStart(v View) error {
-	p.start = v.Tick
-	return nil
-}
-
-// OnTick implements Observer.
-func (p *Progress) OnTick(v View) error {
-	if p.Every > 0 && (v.Tick-p.start)%p.Every == 0 {
-		p.Fn(v.Tick-p.start, v.Until-p.start)
-	}
-	return nil
-}
-
-// OnStop implements Observer.
-func (p *Progress) OnStop(v View, _ error) {
-	p.Fn(v.Tick-p.start, v.Until-p.start)
-}
 
 // CountTicks batches completed-tick counts into Add — typically an
 // atomic counter behind a Prometheus metric — every Every ticks

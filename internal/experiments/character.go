@@ -10,12 +10,12 @@ import (
 	"eccspec/internal/workload"
 )
 
-// coreSweep is the §II characterization protocol for one core: run the
+// CoreSweep is the §II characterization protocol for one core: run the
 // stress test on the core (rail sibling parked in the firmware spin
 // loop, as in §IV-A4), lower its rail 5 mV at a time, and record the
 // highest voltage that produced a correctable error and the lowest
 // voltage at which the core still functioned.
-type coreSweep struct {
+type CoreSweep struct {
 	FirstErrV float64 // highest V with a correctable error (0 if none)
 	MinSafeV  float64 // lowest V with no crash
 	ErrD      int     // correctable errors seen in the whole sweep, by type
@@ -23,16 +23,16 @@ type coreSweep struct {
 	ErrRF     int
 }
 
-// sweepCore runs the protocol. It restores the rail to nominal and
+// SweepCore runs the protocol. It restores the rail to nominal and
 // revives the core before returning.
-func sweepCore(c *chip.Chip, coreID int, ticksPerLevel int, seed uint64) coreSweep {
+func SweepCore(c *chip.Chip, coreID int, ticksPerLevel int, seed uint64) CoreSweep {
 	co := c.Cores[coreID]
 	co.SetWorkload(workload.StressTest(), seed)
 	dom := c.DomainOf(coreID)
 	nominal := c.P.Point.NominalVdd
 	step := dom.Rail.Params().StepV
 
-	out := coreSweep{MinSafeV: nominal}
+	out := CoreSweep{MinSafeV: nominal}
 	for v := nominal; v > 0.3; v -= step {
 		dom.Rail.SetTarget(v)
 		// The rail sibling (parked in the firmware spin loop) may hit
@@ -70,12 +70,12 @@ func sweepCore(c *chip.Chip, coreID int, ticksPerLevel int, seed uint64) coreSwe
 }
 
 // sweepAllCores characterizes every core of a chip.
-func sweepAllCores(o Options, low bool, ticksPerLevel int) (*chip.Chip, []coreSweep) {
+func sweepAllCores(o Options, low bool, ticksPerLevel int) (*chip.Chip, []CoreSweep) {
 	c := newChip(o, low)
 	parkAll(c, o.Seed)
-	sweeps := make([]coreSweep, len(c.Cores))
+	sweeps := make([]CoreSweep, len(c.Cores))
 	for i := range c.Cores {
-		sweeps[i] = sweepCore(c, i, ticksPerLevel, o.Seed)
+		sweeps[i] = SweepCore(c, i, ticksPerLevel, o.Seed)
 	}
 	return c, sweeps
 }
@@ -139,16 +139,16 @@ func runFig1(o Options) (*Result, error) {
 			"avg_rel_low":      stats.Mean(relLo),
 			"spread_rel_high":  spreadHi,
 			"spread_rel_low":   spreadLo,
-			"avg_minv_high":    stats.Mean(sweepField(hi, func(s coreSweep) float64 { return s.MinSafeV })),
-			"avg_minv_low":     stats.Mean(sweepField(lo, func(s coreSweep) float64 { return s.MinSafeV })),
-			"guardband_high_v": nomHi - stats.Max(sweepField(hi, func(s coreSweep) float64 { return s.FirstErrV })),
-			"guardband_low_v":  nomLo - stats.Max(sweepField(lo, func(s coreSweep) float64 { return s.FirstErrV })),
+			"avg_minv_high":    stats.Mean(sweepField(hi, func(s CoreSweep) float64 { return s.MinSafeV })),
+			"avg_minv_low":     stats.Mean(sweepField(lo, func(s CoreSweep) float64 { return s.MinSafeV })),
+			"guardband_high_v": nomHi - stats.Max(sweepField(hi, func(s CoreSweep) float64 { return s.FirstErrV })),
+			"guardband_low_v":  nomLo - stats.Max(sweepField(lo, func(s CoreSweep) float64 { return s.FirstErrV })),
 		},
 	}
 	return res, nil
 }
 
-func sweepField(ss []coreSweep, f func(coreSweep) float64) []float64 {
+func sweepField(ss []CoreSweep, f func(CoreSweep) float64) []float64 {
 	out := make([]float64, len(ss))
 	for i, s := range ss {
 		out[i] = f(s)
@@ -167,7 +167,7 @@ func runFig2(o Options) (*Result, error) {
 	nomHi := 1.100
 	nomLo := 0.800
 	var corrHi, corrLo []float64
-	cell := func(s coreSweep, nominal float64) (errFree, corr string, rangeV float64, ok bool) {
+	cell := func(s CoreSweep, nominal float64) (errFree, corr string, rangeV float64, ok bool) {
 		if s.FirstErrV == 0 {
 			// The core crashed before any correctable error surfaced —
 			// never observed in the paper's data, and excluded from
