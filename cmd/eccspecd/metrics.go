@@ -93,7 +93,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("eccspecd_cluster_workers_healthy", "Registered workers accepting work.", float64(counts.Healthy))
 	gauge("eccspecd_cluster_workers_degraded", "Registered workers reporting degraded; no new work.", float64(counts.Degraded))
 	gauge("eccspecd_cluster_workers_quarantined", "Workers tripped by the dispatch circuit breaker, awaiting a half-open probe.", float64(counts.Quarantined))
-	gauge("eccspecd_cluster_workers_dead", "Registered workers past the heartbeat TTL or failed mid-batch.", float64(counts.Dead))
+	gauge("eccspecd_cluster_workers_dead", "Registered workers whose heartbeat TTL expired.", float64(counts.Dead))
 	counter("eccspecd_cluster_dispatches_total", "Chip batches dispatched to workers.", st.Dispatches)
 	counter("eccspecd_cluster_chips_done_total", "Chips completed on remote workers.", st.ChipsDone)
 	counter("eccspecd_cluster_remote_ticks_total", "Control ticks simulated on remote workers.", st.RemoteTicks)

@@ -102,7 +102,7 @@ eccspecd_cluster_workers_degraded <v>
 # HELP eccspecd_cluster_workers_quarantined Workers tripped by the dispatch circuit breaker, awaiting a half-open probe.
 # TYPE eccspecd_cluster_workers_quarantined gauge
 eccspecd_cluster_workers_quarantined <v>
-# HELP eccspecd_cluster_workers_dead Registered workers past the heartbeat TTL or failed mid-batch.
+# HELP eccspecd_cluster_workers_dead Registered workers whose heartbeat TTL expired.
 # TYPE eccspecd_cluster_workers_dead gauge
 eccspecd_cluster_workers_dead <v>
 # HELP eccspecd_cluster_dispatches_total Chip batches dispatched to workers.

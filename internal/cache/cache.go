@@ -320,18 +320,18 @@ func (c *Cache) ReadLine(set, way int, v float64) ReadResult {
 // ProbeLine is ReadLine for callers that consume only the ECC outcome
 // and not the data — the hardware monitor's continuous self-test. Fault
 // sampling, decoding, event generation, and counter updates are
-// identical to ReadLine; the decoded words are simply not materialized,
-// which keeps the per-tick probe train off the hot path's profile.
-func (c *Cache) ProbeLine(set, way int, v float64) ReadResult {
+// identical to ReadLine; it returns only ReadResult's Events (scratch,
+// as there) and Fatal, and never materializes the decoded words, which
+// keeps the per-tick probe train off the hot path's profile.
+func (c *Cache) ProbeLine(set, way int, v float64) (events []Event, fatal bool) {
 	ln := c.lineAt(set, way)
 	c.clock++
 	ln.lastUse = c.clock
-	var res ReadResult
 	flips := c.arr.SampleFlips(set, way, v)
 	if len(flips) == 0 {
-		return res
+		return nil, false
 	}
-	res.Events = c.events[:0]
+	events = c.events[:0]
 	var corrupted [sram.WordsPerLine]ecc.Codeword
 	copy(corrupted[:], ln.words[:])
 	for _, pos := range flips {
@@ -347,15 +347,15 @@ func (c *Cache) ProbeLine(set, way int, v float64) ReadResult {
 		switch st {
 		case ecc.Corrected:
 			c.stats.Corrected++
-			res.Events = append(res.Events, ev)
+			events = append(events, ev)
 		case ecc.Uncorrectable:
 			c.stats.Uncorrectable++
-			res.Events = append(res.Events, ev)
-			res.Fatal = true
+			events = append(events, ev)
+			fatal = true
 		}
 	}
-	c.events = res.Events
-	return res
+	c.events = events
+	return events, fatal
 }
 
 // CalibrationSweep is one step of the calibration sweep at probe

@@ -197,6 +197,9 @@ type Core struct {
 
 	sens map[variation.Kind][]SensLine
 	kern map[variation.Kind]*kernel.Table
+	// sampled holds the L2D and L2I tables the last Step sampled (nil
+	// where it sampled none), which TrueCorrected replays.
+	sampled [2]*kernel.Table
 }
 
 // Domain is one voltage domain: a supply rail shared by a set of cores.
@@ -220,10 +223,6 @@ type CoreReport struct {
 	// correctable errors in the L2 data cache, L2 instruction cache and
 	// register file, as *reported* by the throttled logging path.
 	CorrectedD, CorrectedI, CorrectedRF int
-	// TrueCorrected is the expected number of underlying corrected
-	// events this tick (reported x TrueEventFactor, analytically),
-	// which is what a firmware handler servicing every event sees.
-	TrueCorrected float64
 	// ReplayRate is the expected number of Razor replays this tick
 	// (only populated in Razor mode): every detected timing fault in
 	// logic or cache costs a pipeline replay.
@@ -569,6 +568,7 @@ func (c *Chip) Step() TickReport {
 		veff := dom.lastEff
 		co.lastEff = veff
 		cr.Effective = veff
+		co.sampled = [2]*kernel.Table{}
 		if !co.alive {
 			continue
 		}
@@ -590,12 +590,12 @@ func (c *Chip) Step() TickReport {
 		}
 
 		if co.wl != nil {
-			cd, trueD, fatalD := c.sampleWorkloadErrors(co, variation.KindL2D, d.L2DAccesses, veff)
-			ci, trueI, fatalI := c.sampleWorkloadErrors(co, variation.KindL2I, d.L2IAccesses, veff)
+			cd, tD, fatalD := c.sampleWorkloadErrors(co, variation.KindL2D, d.L2DAccesses, veff)
+			ci, tI, fatalI := c.sampleWorkloadErrors(co, variation.KindL2I, d.L2IAccesses, veff)
+			co.sampled = [2]*kernel.Table{tD, tI}
 			rfAccesses := c.P.RegFileAccessRate * dt
 			crf, fatalRF := c.sampleRegFileErrors(co, rfAccesses, veff)
 			cr.CorrectedD, cr.CorrectedI, cr.CorrectedRF = cd, ci, crf
-			cr.TrueCorrected = (trueD + trueI) * c.P.TrueEventFactor
 			if fatalD || fatalI || fatalRF {
 				if c.P.RazorWindowV > 0 {
 					// Razor detects and replays what would have been
@@ -610,7 +610,7 @@ func (c *Chip) Step() TickReport {
 			}
 			if c.P.RazorWindowV > 0 {
 				// Every corrected-class timing fault is a replay too.
-				cr.ReplayRate += cr.TrueCorrected
+				cr.ReplayRate += c.TrueCorrected(i)
 			}
 		}
 
@@ -651,14 +651,31 @@ func (c *Chip) Step() TickReport {
 	return rep
 }
 
+// TrueCorrected returns the expected number of underlying corrected
+// events on core id in the last Step (reported x TrueEventFactor,
+// analytically), which is what a firmware handler servicing every
+// event sees. It replays the exact per-line rates of the L2 tables the
+// Step sampled, draws nothing, and is 0 for a core that sampled none.
+func (c *Chip) TrueCorrected(id int) float64 {
+	var trueD, trueI float64
+	co := c.Cores[id]
+	if t := co.sampled[0]; t != nil {
+		trueD = t.TrueMean()
+	}
+	if t := co.sampled[1]; t != nil {
+		trueI = t.TrueMean()
+	}
+	return (trueD + trueI) * c.P.TrueEventFactor
+}
+
 // sampleWorkloadErrors converts a tick's worth of L2 traffic into ECC
 // event counts. Accesses spread uniformly over the workload's footprint;
 // each sensitive, exercised line contributes Poisson-distributed
 // correctable events (rare per access) and a fatal flag if a double-bit
-// read occurs.
-func (c *Chip) sampleWorkloadErrors(co *Core, kind variation.Kind, accesses float64, v float64) (corrected int, trueMean float64, fatal bool) {
+// read occurs. It returns the table it sampled, nil if it sampled none.
+func (c *Chip) sampleWorkloadErrors(co *Core, kind variation.Kind, accesses float64, v float64) (corrected int, sampled *kernel.Table, fatal bool) {
 	if accesses <= 0 {
-		return 0, 0, false
+		return 0, nil, false
 	}
 	arr := co.arrayOf(kind)
 	cov := co.wl.P.L2DCoverage
@@ -667,7 +684,7 @@ func (c *Chip) sampleWorkloadErrors(co *Core, kind variation.Kind, accesses floa
 	}
 	footprint := cov * float64(arr.Lines())
 	if footprint < 1 {
-		return 0, 0, false
+		return 0, nil, false
 	}
 	perLine := accesses / footprint
 	t := co.kernelTable(kind, c.SensitivityFloor())
@@ -680,12 +697,12 @@ func (c *Chip) sampleWorkloadErrors(co *Core, kind variation.Kind, accesses floa
 	// double-bit alignments far rarer than raw pair probability
 	// suggests; the FatalRateFactor folds both effects.
 	cutoff := v - 8*c.P.Point.WidthMax
-	n, tm, fat, counts := t.Sample(c.stream, v, cutoff, perLine, perLine*c.P.FatalRateFactor)
+	n, fat, counts := t.Sample(c.stream, v, cutoff, perLine, perLine*c.P.FatalRateFactor)
 	for _, lc := range counts {
 		c.MCA.Report(mca.Event{Time: c.time, Core: co.ID,
 			Bank: kind.String(), Set: lc.Set, Way: lc.Way, Count: lc.N})
 	}
-	return n, tm, fat
+	return n, t, fat
 }
 
 // sampleRegFileErrors does the same for the register file, which the
@@ -695,7 +712,7 @@ func (c *Chip) sampleRegFileErrors(co *Core, perLine float64, v float64) (correc
 		return 0, false
 	}
 	t := co.kernelTable(variation.KindRegFile, c.SensitivityFloor())
-	n, _, fat, counts := t.SampleAll(c.stream, v, math.Inf(-1), perLine, perLine*c.P.FatalRateFactor)
+	n, fat, counts := t.SampleAll(c.stream, v, math.Inf(-1), perLine, perLine*c.P.FatalRateFactor)
 	for _, lc := range counts {
 		c.MCA.Report(mca.Event{Time: c.time, Core: co.ID,
 			Bank: "RegFile", Set: lc.Set, Way: lc.Way, Count: lc.N})

@@ -73,6 +73,9 @@ type System struct {
 	hold   []int
 	floors []float64
 	stream *rng.Stream
+	// trueCorrected reads a core's true corrected-event rate for the
+	// last tick; chip.TrueCorrected outside tests.
+	trueCorrected func(core int) float64
 }
 
 // New attaches the firmware system to a chip. Floors default to zero
@@ -81,12 +84,13 @@ type System struct {
 // of [4].
 func New(c *chip.Chip, cfg Config) *System {
 	return &System{
-		Chip:   c,
-		Cfg:    cfg,
-		quiet:  make([]int, len(c.Domains)),
-		hold:   make([]int, len(c.Domains)),
-		floors: make([]float64, len(c.Domains)),
-		stream: rng.NewStream(c.P.Seed, 0xF1A4),
+		Chip:          c,
+		Cfg:           cfg,
+		quiet:         make([]int, len(c.Domains)),
+		hold:          make([]int, len(c.Domains)),
+		floors:        make([]float64, len(c.Domains)),
+		stream:        rng.NewStream(c.P.Seed, 0xF1A4),
+		trueCorrected: c.TrueCorrected,
 	}
 }
 
@@ -99,23 +103,10 @@ func (s *System) SetFloor(domain int, v float64) {
 // Floor returns a domain's calibrated safe level.
 func (s *System) Floor(domain int) float64 { return s.floors[domain] }
 
-// domainTrueErrors samples the tick's *trap-visible* correctable-error
-// count over a domain's cores. The firmware handler is invoked for every
-// corrected event — there is no logging throttle in front of it — so the
-// policy reacts to draws from the true event rate, which is what makes
-// the baseline so much jumpier than the monitor-driven controller.
-func (s *System) domainTrueErrors(rep chip.TickReport, d *chip.Domain) int {
-	total := 0
-	for _, id := range d.CoreIDs {
-		total += stats.SamplePoisson(s.stream, rep.Cores[id].TrueCorrected)
-	}
-	return total
-}
-
 // overheadFor converts a core's true corrected-event rate into the
 // lost-cycle fraction of the next tick, capped at MaxOverhead.
-func (s *System) overheadFor(cr chip.CoreReport) float64 {
-	frac := cr.TrueCorrected * s.Cfg.HandlingSeconds / s.Chip.P.TickSeconds
+func (s *System) overheadFor(trueRate float64) float64 {
+	frac := trueRate * s.Cfg.HandlingSeconds / s.Chip.P.TickSeconds
 	if frac > s.Cfg.MaxOverhead {
 		frac = s.Cfg.MaxOverhead
 	}
@@ -124,25 +115,34 @@ func (s *System) overheadFor(cr chip.CoreReport) float64 {
 
 // ApplyOverhead charges each core the firmware handling cost for the
 // errors it incurred this tick, expressed as a lost-cycle fraction of
-// the next tick. It returns the total reported errors. Use it alone when
+// the next tick. Like Adapt, it follows the chip.Step that returned rep. It returns the total reported errors. Use it alone when
 // the voltage is being forced externally (energy-vs-voltage sweeps).
 func (s *System) ApplyOverhead(rep chip.TickReport) int {
 	total := 0
 	for _, cr := range rep.Cores {
-		s.Chip.Cores[cr.CoreID].SetOverheadFraction(s.overheadFor(cr))
+		s.Chip.Cores[cr.CoreID].SetOverheadFraction(s.overheadFor(s.trueCorrected(cr.CoreID)))
 		total += cr.CorrectedD + cr.CorrectedI + cr.CorrectedRF
 	}
 	return total
 }
 
 // Adapt runs one firmware policy iteration on the tick's report: charge
-// handling overhead, then adjust each domain's rail. Call it after
-// chip.Step.
+// handling overhead, then adjust each domain's rail. Call it after the
+// chip.Step that returned rep and before the next: the true event rates
+// are read from the chip's last Step.
 func (s *System) Adapt(rep chip.TickReport) {
 	for _, d := range s.Chip.Domains {
-		total := s.domainTrueErrors(rep, d)
+		total := 0
 		for _, id := range d.CoreIDs {
-			s.Chip.Cores[id].SetOverheadFraction(s.overheadFor(rep.Cores[id]))
+			// The firmware handler is invoked for every corrected event
+			// — there is no logging throttle in front of it — so the
+			// policy reacts to draws from the true event rate, which is
+			// what makes the baseline so much jumpier than the
+			// monitor-driven controller. The overhead lands on the next
+			// tick, so charging it here leaves this tick's draws alone.
+			trueRate := s.trueCorrected(id)
+			total += stats.SamplePoisson(s.stream, trueRate)
+			s.Chip.Cores[id].SetOverheadFraction(s.overheadFor(trueRate))
 		}
 		switch {
 		case total > 0:

@@ -16,6 +16,12 @@ func testChip(seed uint64) *chip.Chip {
 	return c
 }
 
+// trueRates stands in for chip.TrueCorrected with fixed per-core true
+// event rates (0 for cores not listed), for synthetic tick reports.
+func trueRates(rates map[int]float64) func(int) float64 {
+	return func(core int) float64 { return rates[core] }
+}
+
 func TestAdaptLowersVoltageWhenQuiet(t *testing.T) {
 	c := testChip(1)
 	fw := New(c, DefaultConfig())
@@ -40,7 +46,7 @@ func TestAdaptBacksOffOnErrors(t *testing.T) {
 		rep.Cores[i].CoreID = i
 	}
 	rep.Cores[0].CorrectedD = 3
-	rep.Cores[0].TrueCorrected = 3000
+	fw.trueCorrected = trueRates(map[int]float64{0: 3000})
 	fw.Adapt(rep)
 	want := before + float64(fw.Cfg.BackoffSteps)*d.Rail.Params().StepV
 	if got := d.Rail.Target(); got < want-1e-9 {
@@ -61,9 +67,10 @@ func TestAdaptHoldsAfterBackoff(t *testing.T) {
 		errRep.Cores[i].CoreID = i
 	}
 	errRep.Cores[0].CorrectedI = 1
-	errRep.Cores[0].TrueCorrected = 1000
+	fw.trueCorrected = trueRates(map[int]float64{0: 1000})
 	fw.Adapt(errRep)
 	after := d.Rail.Target()
+	fw.trueCorrected = trueRates(nil)
 
 	cleanRep := chip.TickReport{Cores: make([]chip.CoreReport, len(c.Cores))}
 	for i := range cleanRep.Cores {
@@ -85,7 +92,7 @@ func TestApplyOverheadChargesCores(t *testing.T) {
 		rep.Cores[i].CoreID = i
 	}
 	rep.Cores[2].CorrectedD = 5
-	rep.Cores[2].TrueCorrected = 5000
+	fw.trueCorrected = trueRates(map[int]float64{2: 5000})
 	if n := fw.ApplyOverhead(rep); n != 5 {
 		t.Fatalf("reported %d errors, want 5", n)
 	}

@@ -383,6 +383,9 @@ func simulateChip(ctx context.Context, job Job, seed uint64) (res ChipResult) {
 	ticks := int(job.Seconds / sim.TickSeconds())
 	var obs []engine.Observer
 	if job.TraceEvery > 0 {
+		// The run samples ticks start+1..ticks that are multiples of
+		// TraceEvery.
+		res.Trace.Grow(max(ticks/job.TraceEvery-start/job.TraceEvery, 0))
 		obs = append(obs, engine.EveryN{N: job.TraceEvery, Fn: func(engine.View) error {
 			res.Trace.Add(sim.Time(), traceSample(sim)...)
 			return nil

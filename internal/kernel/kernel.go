@@ -7,12 +7,21 @@
 // that are zero to double precision. A Table flattens one array's
 // sensitive-line profiles into sorted columns (line onset voltages,
 // per-line and per-bit conservative "certainly clean" thresholds), so
-// a whole array's tick can be sampled with one comparison per line and
-// exact probability math only for the few lines that can actually flip.
+// a whole array's tick can be sampled with one comparison per line.
+//
+// Even a line that can flip almost never does: its Poisson mean is
+// ~1e-3, so its one uniform draw nearly always resolves to zero. The
+// kernel therefore bounds each such line's probability from above with
+// a monotone table of the normal CDF, draws the uniform, and computes
+// the exact erf-based probability only when the draw lands inside the
+// bound's acceptance window.
 //
 // Sample (and SampleAll, its register-file form) reproduces the scalar
-// loop's floating-point operations and stream draws bit for bit, so
-// simulation stays byte-identical to the pre-kernel implementation.
+// loop's stream draws bit for bit, and every probability it computes
+// with the scalar loop's floating-point operations, so simulation stays
+// byte-identical to the pre-kernel implementation. TrueMean recomputes
+// the exact expected event count of the last Sample for the callers
+// that read it.
 package kernel
 
 import (
@@ -79,6 +88,13 @@ type Table struct {
 	allIdx []int32
 
 	counts []LineCount // Sample scratch
+
+	// last records the operating point of the last Sample or
+	// SampleAll, which TrueMean replays.
+	last struct {
+		vEff, cutoff, perLine float64
+		footprint             bool
+	}
 }
 
 // Build flattens the given sensitive lines (descending onset voltage)
@@ -168,24 +184,33 @@ func (t *Table) EnsureFootprint(wl *workload.Workload) {
 // disable, register-file mode). When footprint is true, lines outside
 // the cached workload mask are skipped.
 //
-// The floating-point operations and stream draws are bit-for-bit those
-// of the scalar loop it replaces (sram.Array.ErrorProbabilities plus
-// per-line Poisson draws): the per-line and per-bit threshold guards
-// only skip cells whose exact flip probability is zero, which
-// contribute nothing to either probability and consume no draws.
-func (t *Table) Sample(stream *rng.Stream, v, cutoff, perLine, fatalPerLine float64) (corrected int, trueMean float64, fatal bool, counts []LineCount) {
+// The results and stream draws are bit-for-bit those of the scalar
+// loop it replaces (sram.Array.ErrorProbabilities plus per-line
+// stats.SamplePoissonFast draws): the threshold guards only skip cells
+// whose exact flip probability is zero, and a line's exact probability
+// is skipped only when its draw resolves to zero under an upper bound
+// (see sampleBounded).
+func (t *Table) Sample(stream *rng.Stream, v, cutoff, perLine, fatalPerLine float64) (corrected int, fatal bool, counts []LineCount) {
 	return t.sample(stream, v, cutoff, perLine, fatalPerLine, true)
 }
 
 // SampleAll is Sample without the workload-footprint mask (register
 // file: exercised continuously and completely).
-func (t *Table) SampleAll(stream *rng.Stream, v, cutoff, perLine, fatalPerLine float64) (corrected int, trueMean float64, fatal bool, counts []LineCount) {
+func (t *Table) SampleAll(stream *rng.Stream, v, cutoff, perLine, fatalPerLine float64) (corrected int, fatal bool, counts []LineCount) {
 	return t.sample(stream, v, cutoff, perLine, fatalPerLine, false)
 }
 
-func (t *Table) sample(stream *rng.Stream, v, cutoff, perLine, fatalPerLine float64, footprint bool) (corrected int, trueMean float64, fatal bool, counts []LineCount) {
+// minBoundedPerLine is the smallest per-line access count the bounded
+// path takes. A line with a live cell has ps >= 2^-53, so above this
+// perLine*ps cannot underflow to zero, and the uniform the bounded
+// path draws is one SamplePoissonFast would have drawn too.
+const minBoundedPerLine = 1e-280
+
+func (t *Table) sample(stream *rng.Stream, v, cutoff, perLine, fatalPerLine float64, footprint bool) (corrected int, fatal bool, counts []LineCount) {
 	t.counts = t.counts[:0]
 	vEff := v - t.arr.Model.TempShift(t.arr.Temperature())
+	t.last.vEff, t.last.cutoff, t.last.perLine, t.last.footprint = vEff, cutoff, perLine, footprint
+	bounded := perLine >= minBoundedPerLine
 	var first, second [sram.WordsPerLine]float64
 	idx := t.allIdx
 	if footprint {
@@ -200,20 +225,113 @@ func (t *Table) sample(stream *rng.Stream, v, cutoff, perLine, fatalPerLine floa
 			// loop would compute (0, 0) and draw nothing.
 			continue
 		}
-		ps, pu := t.lineProbabilities(int(i), vEff, &first, &second)
-		if ps > 0 {
-			n := stats.SamplePoissonFast(stream, perLine*ps)
-			corrected += n
-			trueMean += perLine * ps
-			if n > 0 {
-				t.counts = append(t.counts, LineCount{Set: int(t.set[i]), Way: int(t.way[i]), N: n})
+		n, ok := 0, false
+		if bounded {
+			n, ok = t.sampleBounded(int(i), stream, vEff, perLine, &first, &second)
+		}
+		if !ok {
+			ps, pu := t.lineProbabilities(int(i), vEff, &first, &second)
+			if ps > 0 {
+				n = stats.SamplePoissonFast(stream, perLine*ps)
+			}
+			if pu > 0 && stats.SamplePoissonFast(stream, fatalPerLine*pu) > 0 {
+				fatal = true
 			}
 		}
-		if pu > 0 && stats.SamplePoissonFast(stream, fatalPerLine*pu) > 0 {
-			fatal = true
+		if n > 0 {
+			corrected += n
+			t.counts = append(t.counts, LineCount{Set: int(t.set[i]), Way: int(t.way[i]), N: n})
 		}
 	}
-	return corrected, trueMean, fatal, t.counts
+	return corrected, fatal, t.counts
+}
+
+// sampleBounded draws line i's corrected-event count without the
+// line's exact probability whenever it can. It declines (ok false,
+// nothing drawn) unless the line's uncorrectable probability is exactly
+// zero and its corrected-event mean has a bound of at most 50, the
+// largest mean SamplePoissonFast samples with Knuth's loop. Otherwise
+// it draws SamplePoissonFast's first uniform u, returns 0 when u
+// resolves to zero under the bound, and else computes the exact mean
+// and resumes the draw from u. The bound is the union bound over the
+// live cells of phiHi's per-cell bounds plus productSlack, and
+// SamplePoissonFast's zero test, u <= 1-m-1e-15, is monotone in m, so
+// a draw that is zero under the bound is zero under the exact mean.
+func (t *Table) sampleBounded(i int, stream *rng.Stream, vEff, perLine float64, first, second *[sram.WordsPerLine]float64) (n int, ok bool) {
+	lo, hi := t.start[i], t.start[i+1]
+	safeV := t.safeV[lo:hi]
+	safeOrd := t.safeOrd[lo:hi]
+	bits := t.prof[i].Bits
+	var words uint8
+	psHi := 0.0
+	for k := 0; k < len(safeV); k++ {
+		if vEff > safeV[k] {
+			break
+		}
+		b := &bits[safeOrd[k]]
+		w := b.Width
+		if w <= 0 {
+			return 0, false
+		}
+		// The live test and x are lineProbabilities' own: a cell flips
+		// with nonzero probability exactly when x >= -8.
+		x := (b.Vcrit - vEff) / w
+		if x < -8 {
+			continue
+		}
+		if !(x <= phiMaxX) {
+			return 0, false
+		}
+		// A second live cell in one codeword makes pu nonzero, and
+		// then a fatal draw follows the corrected one.
+		m := uint8(1) << b.Word()
+		if words&m != 0 {
+			return 0, false
+		}
+		words |= m
+		psHi += phiHi[int((x+8)*phiSteps)+1]
+	}
+	if words == 0 {
+		// No live cell: ps and pu are exactly 0, and nothing is drawn.
+		return 0, true
+	}
+	meanHi := perLine * (psHi + productSlack)
+	if !(meanHi <= 50) {
+		return 0, false
+	}
+	u := stream.Float64()
+	if u <= 1-meanHi-1e-15 {
+		return 0, true
+	}
+	ps, _ := t.lineProbabilities(i, vEff, first, second)
+	return stats.ResumePoisson(stream, perLine*ps, u), true
+}
+
+// TrueMean returns the expected corrected-event count of the table's
+// last Sample or SampleAll: perLine*ps summed over the lines it
+// sampled, in the same order and with the same float operations as the
+// exact per-line loop. It draws nothing. It is exact only until the
+// table's next Sample, SampleAll or EnsureFootprint.
+func (t *Table) TrueMean() float64 {
+	last := &t.last
+	idx := t.allIdx
+	if last.footprint {
+		idx = t.fpIdx
+	}
+	var first, second [sram.WordsPerLine]float64
+	trueMean := 0.0
+	for _, i := range idx {
+		if t.vmax[i] < last.cutoff {
+			break
+		}
+		if last.vEff > t.vsafe[i] {
+			continue
+		}
+		if ps, _ := t.lineProbabilities(int(i), last.vEff, &first, &second); ps > 0 {
+			trueMean += last.perLine * ps
+		}
+	}
+	return trueMean
 }
 
 // lineProbabilities is the batch-table replay of

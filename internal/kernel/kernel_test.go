@@ -1,13 +1,10 @@
 package kernel_test
 
-// Property tests for the batch kernels' two core contracts:
-//
-//   - Sample replays the scalar per-line loop (sram.ErrorProbabilities
-//     plus per-line Poisson draws) bit for bit — same results, same
-//     stream draws — across voltages and temperatures.
-//   - Rates' memo is transparent: after any SetTemperature or
-//     rail-target (voltage) change, a warm table returns exactly what a
-//     freshly built, cold table computes at the new operating point.
+// Property test for the batch kernel's contract against the scalar
+// reference: Sample replays the scalar per-line loop
+// (sram.ErrorProbabilities plus per-line Poisson draws) bit for bit —
+// same counts, same stream draws — across voltages and temperatures,
+// and TrueMean returns the scalar loop's expected-event sum exactly.
 
 import (
 	"math"
@@ -92,7 +89,8 @@ func TestSampleMatchesScalarReference(t *testing.T) {
 				sRef := rng.NewStream(seed, 0xEC, draw)
 				sKer := rng.NewStream(seed, 0xEC, draw)
 				wc, wm, wf, wl := scalarSample(a, lines, sRef, v, cutoff, perLine, fatalPerLine)
-				gc, gm, gf, gl := table.SampleAll(sKer, v, cutoff, perLine, fatalPerLine)
+				gc, gf, gl := table.SampleAll(sKer, v, cutoff, perLine, fatalPerLine)
+				gm := table.TrueMean()
 				if gc != wc || gm != wm || gf != wf {
 					t.Fatalf("seed %d v %.4f temp %.1f: kernel (%d, %g, %v) vs scalar (%d, %g, %v)",
 						seed, v, tempC, gc, gm, gf, wc, wm, wf)

@@ -168,7 +168,7 @@ func (m *Monitor) Probe(v float64) bool {
 	}
 	m.cache.WriteLineEncoded(m.set, m.way, &patternImages[m.pattern])
 	m.pattern = (m.pattern + 1) % len(defaultPatterns)
-	res := m.cache.ProbeLine(m.set, m.way, v)
+	events, fatal := m.cache.ProbeLine(m.set, m.way, v)
 	m.accesses++
 	switch m.fault {
 	case FaultStuckZero:
@@ -180,18 +180,14 @@ func (m *Monitor) Probe(v float64) bool {
 		m.emergency = true
 		return true
 	}
-	hit := false
-	for _, ev := range res.Events {
-		if ev.Status == ecc.Corrected || ev.Status == ecc.Uncorrectable {
-			hit = true
-		}
-		// An uncorrectable on the dedicated test line is not fatal to
-		// the program (the line holds no architectural data) but is an
-		// immediate emergency signal.
-		if ev.Status == ecc.Uncorrectable {
-			m.emergency = true
-		}
+	// An uncorrectable on the dedicated test line is not fatal to the
+	// program (the line holds no architectural data) but is an
+	// immediate emergency signal.
+	if fatal {
+		m.emergency = true
 	}
+	// ProbeLine reports only corrected and uncorrectable events.
+	hit := len(events) > 0
 	if hit {
 		m.errors++
 	}

@@ -53,7 +53,9 @@ type OptionsState struct {
 }
 
 // TraceState carries a telemetry recorder's accumulated rows, so a
-// resumed traced run reproduces the full series.
+// resumed traced run reproduces the full series. A state from
+// CaptureTrace shares its recorder's storage, so its slices are
+// read-only.
 type TraceState struct {
 	Columns []string    `json:"columns"`
 	Times   []float64   `json:"times"`
@@ -61,19 +63,22 @@ type TraceState struct {
 }
 
 // CaptureTrace snapshots a recorder (nil recorder gives nil state).
+// The state's times and rows alias the recorder's storage instead of
+// copying it, so a state kept beside its recorder (the journal's record
+// of a finished chip) costs only the row headers. Samples the recorder
+// adds later do not show in the state.
 func CaptureTrace(r *trace.Recorder) *TraceState {
 	if r == nil {
 		return nil
 	}
 	st := &TraceState{Columns: r.Columns()}
-	cols := len(st.Columns)
-	for i := 0; i < r.Len(); i++ {
-		st.Times = append(st.Times, r.Time(i))
-		row := make([]float64, cols)
-		for c := 0; c < cols; c++ {
-			row[c] = r.Value(i, c)
-		}
-		st.Rows = append(st.Rows, row)
+	if r.Len() == 0 {
+		return st
+	}
+	st.Times = r.Times()
+	st.Rows = make([][]float64, r.Len())
+	for i := range st.Rows {
+		st.Rows[i] = r.Row(i)
 	}
 	return st
 }
@@ -91,6 +96,7 @@ func (ts *TraceState) RestoreTrace() (*trace.Recorder, error) {
 		return nil, fmt.Errorf("snapshot: trace state has %d times but %d rows", len(ts.Times), len(ts.Rows))
 	}
 	r := trace.NewRecorder(ts.Columns...)
+	r.Grow(len(ts.Times))
 	for i, t := range ts.Times {
 		if len(ts.Rows[i]) != len(ts.Columns) {
 			return nil, fmt.Errorf("snapshot: trace row %d has %d values for %d columns", i, len(ts.Rows[i]), len(ts.Columns))

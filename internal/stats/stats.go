@@ -135,7 +135,16 @@ func SamplePoissonFast(s *rng.Stream, mean float64) int {
 		// stream position stays aligned with SamplePoisson.
 		return SamplePoisson(s, mean)
 	}
-	u := s.Float64()
+	return ResumePoisson(s, mean, s.Float64())
+}
+
+// ResumePoisson finishes a SamplePoissonFast draw whose first uniform,
+// u, the caller has already drawn from s, for a mean in (0, 50]: it
+// returns what SamplePoissonFast would have returned and leaves s where
+// SamplePoissonFast would have left it. A caller that can bound the
+// mean from above draws u first and skips computing the exact mean
+// whenever u resolves to zero under the bound.
+func ResumePoisson(s *rng.Stream, mean, u float64) int {
 	// exp(-m) computed in float64 is at least exp(-m)(1 - 2^-52)
 	// >= (1 - m) - 2^-52, so u <= 1 - m - 1e-15 implies u <= exp(-m)
 	// under the exact comparison Knuth's loop would have made.

@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -14,7 +15,10 @@ import (
 type Recorder struct {
 	columns []string
 	times   []float64
-	rows    [][]float64
+	// vals holds the samples row-major: sample i's values are
+	// vals[i*len(columns) : (i+1)*len(columns)]. One slice instead of
+	// one per row keeps a long trace to its values alone.
+	vals []float64
 }
 
 // NewRecorder creates a recorder with the given value column names (the
@@ -36,7 +40,14 @@ func (r *Recorder) Add(t float64, values ...float64) {
 		panic(fmt.Sprintf("trace: %d values for %d columns", len(values), len(r.columns)))
 	}
 	r.times = append(r.times, t)
-	r.rows = append(r.rows, append([]float64(nil), values...))
+	r.vals = append(r.vals, values...)
+}
+
+// Grow reserves room for n more samples, so a caller that knows the
+// final row count sizes the recorder once, exactly.
+func (r *Recorder) Grow(n int) {
+	r.times = slices.Grow(r.times, n)
+	r.vals = slices.Grow(r.vals, n*len(r.columns))
 }
 
 // Len returns the number of recorded samples.
@@ -46,16 +57,28 @@ func (r *Recorder) Len() int { return len(r.times) }
 func (r *Recorder) Time(i int) float64 { return r.times[i] }
 
 // Value returns column col of sample i.
-func (r *Recorder) Value(i, col int) float64 { return r.rows[i][col] }
+func (r *Recorder) Value(i, col int) float64 { return r.Row(i)[col] }
+
+// Times returns every sample's timestamp. The slice aliases the
+// recorder's storage, so callers must not modify it; samples added
+// later do not show in it.
+func (r *Recorder) Times() []float64 { return r.times[:len(r.times):len(r.times)] }
+
+// Row returns sample i's values in column order. Like Times, the slice
+// aliases the recorder's storage and must not be modified.
+func (r *Recorder) Row(i int) []float64 {
+	n := len(r.columns)
+	return r.vals[i*n : (i+1)*n : (i+1)*n]
+}
 
 // Column returns the full series of one column by name. It panics on an
 // unknown name.
 func (r *Recorder) Column(name string) []float64 {
 	for c, n := range r.columns {
 		if n == name {
-			out := make([]float64, len(r.rows))
-			for i := range r.rows {
-				out[i] = r.rows[i][c]
+			out := make([]float64, len(r.times))
+			for i := range out {
+				out[i] = r.Value(i, c)
 			}
 			return out
 		}
@@ -71,7 +94,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	for i := range r.times {
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "%g", r.times[i])
-		for _, v := range r.rows[i] {
+		for _, v := range r.Row(i) {
 			fmt.Fprintf(&sb, ",%g", v)
 		}
 		sb.WriteByte('\n')
@@ -89,8 +112,9 @@ func (r *Recorder) Downsample(k int) *Recorder {
 		k = 1
 	}
 	out := NewRecorder(r.columns...)
+	out.Grow((len(r.times) + k - 1) / k)
 	for i := 0; i < len(r.times); i += k {
-		out.Add(r.times[i], r.rows[i]...)
+		out.Add(r.times[i], r.Row(i)...)
 	}
 	return out
 }

@@ -94,3 +94,22 @@ func TestDownsample(t *testing.T) {
 		t.Fatal("k<=1 should copy all samples")
 	}
 }
+
+// TestTimesAndRowAreCapped checks that the aliasing views end at their
+// sample: appending to one cannot overwrite samples the recorder added
+// later into room Grow reserved.
+func TestTimesAndRowAreCapped(t *testing.T) {
+	r := NewRecorder("a", "b")
+	r.Grow(4)
+	r.Add(0, 1, 2)
+	times, row := r.Times(), r.Row(0)
+	r.Add(1, 3, 4)
+	_ = append(times, 99)
+	_ = append(row, 99, 99)
+	if r.Time(1) != 1 || r.Value(1, 0) != 3 || r.Value(1, 1) != 4 {
+		t.Fatalf("sample 1 = (%v, %v, %v), want (1, 3, 4)", r.Time(1), r.Value(1, 0), r.Value(1, 1))
+	}
+	if len(times) != 1 || len(row) != 2 {
+		t.Fatalf("views grew with the recorder: %d times, %d values", len(times), len(row))
+	}
+}
