@@ -1,10 +1,12 @@
 package experiments
 
-// Golden outputs for every paper-numbered experiment table. These files
-// were captured before the control loop was refactored onto the
-// speculation-policy registry (internal/policy) and prove that the
-// default paper policy still produces byte-identical tables: rendering a
-// different byte here means the refactor changed a simulated decision.
+// Golden outputs for every paper-numbered experiment table and for the
+// uncore-speculation extension. The paper tables were captured before
+// the control loop was refactored onto the speculation-policy registry
+// (internal/policy), and uncorespec before the uncore rail was folded
+// into the core domains' control path; both prove that a refactor kept
+// every simulated decision: rendering a different byte here means it
+// changed one.
 //
 // Regenerate deliberately with:
 //
@@ -22,12 +24,13 @@ import (
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite the golden experiment tables from the current code")
 
-// goldenIDs are the paper-numbered reproductions (tables and figures of
-// the source paper's evaluation) whose rendered output is pinned.
+// goldenIDs are the reproductions whose rendered output is pinned: the
+// tables and figures of the source paper's evaluation, and the uncore
+// extension.
 var goldenIDs = []string{
 	"fig1", "fig2", "fig3", "fig4", "tab1", "tab2",
 	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-	"fig17", "fig18",
+	"fig17", "fig18", "uncorespec",
 }
 
 func TestGoldenPaperTables(t *testing.T) {
