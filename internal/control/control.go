@@ -26,13 +26,15 @@
 // instruction-template sweep) until the first correctable error appears.
 // That line — the weakest in the domain — is handed to its cache's ECC
 // monitor and de-configured from normal allocation.
+//
+// The uncore rail (AttachUncore) is one more speculated rail: its sweep
+// covers the shared L3, and from then on it runs through the same tick,
+// watchdog, self-test, fail-safe and checkpoint code as the core domains.
 package control
 
 import (
 	"fmt"
-	"sort"
 
-	"eccspec/internal/cache"
 	"eccspec/internal/chip"
 	"eccspec/internal/ecc"
 	"eccspec/internal/monitor"
@@ -206,20 +208,17 @@ type System struct {
 	pol policy.Policy
 
 	// probers holds the provisioned probing agent for every L2 cache
-	// controller, keyed by (core, kind); only one per domain is active.
-	probers  map[monKey]Prober
-	active   map[int]Prober
-	assigns  map[int]Assignment
-	lastRate map[int]float64
-	uncore   *uncoreState
+	// controller, keyed by (core, kind), and the L3's under
+	// (-1, KindL3); only one per rail is active.
+	probers map[monKey]Prober
 
-	// failed records domains the controller has reverted to nominal
-	// after a monitor fault, with the reason; stalled counts consecutive
-	// frozen-counter ticks per domain for the watchdog; emergencies
-	// counts serviced emergency interrupts. All three are process-local
+	// rails holds one record per speculated rail: rails[0] is the
+	// uncore, rails[1+d] is domain d (see rail). Tick visits them in
+	// this order.
+	rails []rail
+
+	// emergencies counts serviced emergency interrupts: process-local
 	// telemetry, not checkpoint state.
-	failed      map[int]string
-	stalled     map[int]int
 	emergencies int
 
 	// acts is Tick's scratch, reused so the steady-state loop
@@ -232,15 +231,45 @@ type monKey struct {
 	kind variation.Kind
 }
 
-// New provisions the control system on a chip: a hardware ECC monitor on
-// every L2 instruction and data cache controller, all initially inactive.
-func New(c *chip.Chip, cfg Config) *System {
-	s := newSystem(c, cfg)
-	for _, co := range c.Cores {
-		s.probers[monKey{co.ID, variation.KindL2D}] = monitor.New(co.Hier.L2D, monitor.Config{})
-		s.probers[monKey{co.ID, variation.KindL2I}] = monitor.New(co.Hier.L2I, monitor.Config{})
+// uncoreKey is the L3 monitor's probers key; uncore assignments carry
+// it as their Core and Kind.
+var uncoreKey = monKey{-1, variation.KindL3}
+
+// rail is one speculated supply's controller state: a core domain, or
+// the uncore. id is its Action.Domain; effective reads the supply's
+// effective voltage over the last chip tick; lines are the caches its
+// calibration sweep covers, in sweep order. mon is the active probing
+// agent (nil before calibration and after a fail-safe) and assign its
+// line. lastRate (checkpointed), stalled (the watchdog's count of
+// frozen-counter ticks) and failed (the fail-safe reason) are telemetry.
+type rail struct {
+	id        int
+	supply    *pdn.Rail
+	effective func() float64
+	lines     []monKey
+
+	mon      Prober
+	assign   Assignment
+	lastRate float64
+	stalled  int
+	failed   string
+}
+
+// rail returns the record of a domain id or UncoreDomainID, or nil.
+func (s *System) rail(id int) *rail {
+	if i := id - UncoreDomainID; i >= 0 && i < len(s.rails) {
+		return &s.rails[i]
 	}
-	return s
+	return nil
+}
+
+// New provisions the control system on a chip: a hardware ECC monitor on
+// every L2 instruction and data cache controller and on the L3, all
+// initially inactive.
+func New(c *chip.Chip, cfg Config) *System {
+	return newSystem(c, cfg, func(co *chip.Core, kind variation.Kind) Prober {
+		return monitor.New(co.CacheOf(kind), monitor.Config{})
+	})
 }
 
 // NewFirmwareApproximation provisions the control system with firmware
@@ -250,12 +279,9 @@ func New(c *chip.Chip, cfg Config) *System {
 // targeted test continuously. Probing steals core cycles, which Tick
 // charges to the hosting core.
 func NewFirmwareApproximation(c *chip.Chip, cfg Config) *System {
-	s := newSystem(c, cfg)
-	for _, co := range c.Cores {
-		s.probers[monKey{co.ID, variation.KindL2D}] = monitor.NewFirmwareSelfTest(co.Hier, true, monitor.Config{})
-		s.probers[monKey{co.ID, variation.KindL2I}] = monitor.NewFirmwareSelfTest(co.Hier, false, monitor.Config{})
-	}
-	return s
+	return newSystem(c, cfg, func(co *chip.Core, kind variation.Kind) Prober {
+		return monitor.NewFirmwareSelfTest(co.Hier, kind == variation.KindL2D, monitor.Config{})
+	})
 }
 
 // NewWithPolicy provisions the control system like New but drives the
@@ -269,21 +295,32 @@ func NewWithPolicy(c *chip.Chip, cfg Config, pol policy.Policy) *System {
 	return s
 }
 
-func newSystem(c *chip.Chip, cfg Config) *System {
-	return &System{
+// newSystem builds the uncore's and every domain's rail record; l2
+// provisions each L2 controller's agent, the L3 gets a hardware monitor.
+func newSystem(c *chip.Chip, cfg Config, l2 func(*chip.Core, variation.Kind) Prober) *System {
+	s := &System{
 		Chip: c,
 		Cfg:  cfg,
 		// The default policy is built from this system's own band so
 		// experiments that sweep FloorRate/CeilRate (the ablation study)
 		// keep working unchanged.
-		pol:      policy.NewPaper(cfg.FloorRate, cfg.CeilRate),
-		probers:  make(map[monKey]Prober),
-		active:   make(map[int]Prober),
-		assigns:  make(map[int]Assignment),
-		lastRate: make(map[int]float64),
-		failed:   make(map[int]string),
-		stalled:  make(map[int]int),
+		pol:     policy.NewPaper(cfg.FloorRate, cfg.CeilRate),
+		probers: map[monKey]Prober{uncoreKey: monitor.New(c.L3, monitor.Config{})},
+		rails: []rail{{id: UncoreDomainID, supply: c.UncoreRail,
+			effective: c.LastUncoreEffective, lines: []monKey{uncoreKey}}},
 	}
+	for _, d := range c.Domains {
+		r := rail{id: d.ID, supply: d.Rail, effective: d.LastEffective}
+		for _, id := range d.CoreIDs {
+			for _, kind := range []variation.Kind{variation.KindL2D, variation.KindL2I} {
+				k := monKey{id, kind}
+				s.probers[k] = l2(c.Cores[id], kind)
+				r.lines = append(r.lines, k)
+			}
+		}
+		s.rails = append(s.rails, r)
+	}
+	return s
 }
 
 // Policy returns the speculation policy driving this system's decisions.
@@ -297,23 +334,34 @@ func (s *System) Monitor(core int, kind variation.Kind) Prober {
 	return s.probers[monKey{core, kind}]
 }
 
-// ActiveMonitor returns the domain's active probing agent (nil before
-// calibration).
+// ActiveMonitor returns the domain's (or, for UncoreDomainID, the
+// uncore's) active probing agent: nil before calibration and after a
+// fail-safe.
 func (s *System) ActiveMonitor(domain int) Prober {
-	return s.active[domain]
+	if r := s.rail(domain); r != nil {
+		return r.mon
+	}
+	return nil
 }
 
-// LastErrorRate returns the error rate observed at the domain's most
-// recent completed controller decision (the monitor's own counters reset
-// after every decision, so this is the steady telemetry value).
+// LastErrorRate returns the error rate observed at the domain's (or the
+// uncore's) most recent completed controller decision (the monitor's own
+// counters reset after every decision, so this is the steady telemetry
+// value).
 func (s *System) LastErrorRate(domain int) float64 {
-	return s.lastRate[domain]
+	if r := s.rail(domain); r != nil {
+		return r.lastRate
+	}
+	return 0
 }
 
-// Assignment returns the domain's calibrated target line.
+// Assignment returns the domain's (or the uncore's) calibrated target
+// line.
 func (s *System) Assignment(domain int) (Assignment, bool) {
-	a, ok := s.assigns[domain]
-	return a, ok
+	if r := s.rail(domain); r != nil && r.mon != nil {
+		return r.assign, true
+	}
+	return Assignment{}, false
 }
 
 // calibImage is the line image every calibration sweep writes: the
@@ -325,70 +373,79 @@ var calibImage = func() (img [sram.WordsPerLine]ecc.Codeword) {
 	return img
 }()
 
-// sweepCache performs one calibration pass over a cache at probe voltage
-// v: write a pattern and read each line back CalibReadsPerLine times,
-// stopping at the first line that reports a correctable error
-// (cache.Cache.CalibrationSweep, which skips the reads of lines that
-// provably cannot flip at v).
-func (s *System) sweepCache(c *cache.Cache, v float64) (set, way int, found bool) {
-	return c.CalibrationSweep(&calibImage, v, s.Cfg.CalibReadsPerLine)
-}
-
-// FindOnset locates the weakest L2 line among the domain's cores by
-// progressively lowering the probe voltage until a sweep reports the
-// first correctable error. It does not touch any monitor, so it can also
-// serve as the "off-line calibration" step of the software baseline.
-func (s *System) FindOnset(d *chip.Domain) (Assignment, error) {
+// sweep locates the weakest line among a rail's caches by progressively
+// lowering the probe voltage until a calibration pass reports the first
+// correctable error. Each pass writes the test pattern and reads each
+// line back CalibReadsPerLine times (cache.Cache.CalibrationSweep, which
+// skips the reads of lines that provably cannot flip at v).
+func (s *System) sweep(r *rail) (Assignment, error) {
 	nominal := s.Chip.P.Point.NominalVdd
 	for v := nominal; v >= s.Cfg.CalibFloorV; v -= s.Cfg.CalibStepV {
-		for _, coreID := range d.CoreIDs {
-			co := s.Chip.Cores[coreID]
-			for _, kind := range []variation.Kind{variation.KindL2D, variation.KindL2I} {
-				set, way, found := s.sweepCache(co.CacheOf(kind), v)
-				if !found {
-					continue
-				}
-				return Assignment{Domain: d.ID, Core: coreID, Kind: kind,
+		for _, k := range r.lines {
+			c := s.Chip.L3
+			if k != uncoreKey {
+				c = s.Chip.Cores[k.core].CacheOf(k.kind)
+			}
+			if set, way, found := c.CalibrationSweep(&calibImage, v, s.Cfg.CalibReadsPerLine); found {
+				return Assignment{Domain: r.id, Core: k.core, Kind: k.kind,
 					Set: set, Way: way, OnsetV: v}, nil
 			}
 		}
 	}
 	return Assignment{}, fmt.Errorf("control: no correctable errors found above %.3f V in domain %d",
-		s.Cfg.CalibFloorV, d.ID)
+		s.Cfg.CalibFloorV, r.id)
+}
+
+// FindOnset locates the weakest L2 line among the domain's cores. It
+// does not touch any monitor, so it can also serve as the "off-line
+// calibration" step of the software baseline.
+func (s *System) FindOnset(d *chip.Domain) (Assignment, error) {
+	return s.sweep(s.rail(d.ID))
 }
 
 // CalibrateDomain runs FindOnset and activates the corresponding ECC
 // monitor on the discovered line. Any previously active monitor in the
 // domain is deactivated first (recalibration, §III-D).
 func (s *System) CalibrateDomain(d *chip.Domain) (Assignment, error) {
-	if old := s.active[d.ID]; old != nil {
-		old.Deactivate()
-		delete(s.active, d.ID)
-		delete(s.assigns, d.ID)
-	}
-	delete(s.failed, d.ID)
-	delete(s.stalled, d.ID)
-	a, err := s.FindOnset(d)
+	return s.calibrate(s.rail(d.ID))
+}
+
+// calibrate (re)calibrates a rail: it releases any active monitor,
+// clears a fail-safe, sweeps for the weakest line and activates that
+// line's monitor.
+func (s *System) calibrate(r *rail) (Assignment, error) {
+	s.release(r)
+	r.failed = ""
+	a, err := s.sweep(r)
 	if err != nil {
 		return Assignment{}, err
 	}
-	mon := s.probers[monKey{a.Core, a.Kind}]
-	mon.Activate(a.Set, a.Way)
-	s.active[d.ID] = mon
-	s.assigns[d.ID] = a
-	s.bindPolicyDomain(d.ID, a, d.Rail)
+	s.activate(r, a)
 	return a, nil
 }
 
-// bindPolicyDomain hands a domain's characterization to the policy so
-// schemes that need an offline operating point (guardband) have one.
-func (s *System) bindPolicyDomain(domain int, a Assignment, r *pdn.Rail) {
+// activate points the assignment's monitor at its line (de-configuring
+// it) and binds the rail's characterization to the policy, so schemes
+// that need an offline operating point (guardband) have one.
+func (s *System) activate(r *rail, a Assignment) {
+	mon := s.probers[monKey{a.Core, a.Kind}]
+	mon.Activate(a.Set, a.Way)
+	r.mon, r.assign = mon, a
 	s.pol.BindDomain(policy.DomainInfo{
-		Domain:   domain,
+		Domain:   r.id,
 		OnsetV:   a.OnsetV,
 		NominalV: s.Chip.P.Point.NominalVdd,
-		StepV:    r.Params().StepV,
+		StepV:    r.supply.Params().StepV,
 	})
+}
+
+// release deactivates a rail's monitor, returning its line to service,
+// and drops the assignment and the watchdog count.
+func (s *System) release(r *rail) {
+	if r.mon != nil {
+		r.mon.Deactivate()
+	}
+	r.mon, r.assign, r.stalled = nil, Assignment{}, 0
 }
 
 // Calibrate runs CalibrateDomain for every domain and returns the
@@ -402,53 +459,50 @@ func (s *System) Calibrate() ([]Assignment, error) {
 		}
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Domain < out[j].Domain })
 	return out, nil
 }
 
-// Tick runs one controller iteration: probe every domain's active
-// monitor at its current effective voltage and apply the floor/ceiling
-// policy. Call it after chip.Step. Domains without an active monitor are
-// skipped. The returned slice is scratch owned by the system and is
-// overwritten by the next Tick; callers that need actions beyond the
-// current tick must copy them.
+// Tick runs one controller iteration: probe every calibrated rail's
+// active monitor at its current effective voltage and apply the
+// speculation policy, the uncore first, then the domains by id. Call it
+// after chip.Step. Rails without an active monitor are skipped. The
+// returned slice is scratch owned by the system and is overwritten by
+// the next Tick; callers that need actions beyond the current tick must
+// copy them.
 func (s *System) Tick() []Action {
 	out := s.acts[:0]
-	if act, ok := s.tickUncore(); ok {
-		out = append(out, act)
-	}
-	for _, d := range s.Chip.Domains {
-		mon := s.active[d.ID]
+	for i := range s.rails {
+		r := &s.rails[i]
+		mon := r.mon
 		if mon == nil {
 			continue
 		}
 		accBefore, _ := mon.Counters()
-		mon.ProbeN(s.Cfg.ProbesPerTick, d.LastEffective())
+		mon.ProbeN(s.Cfg.ProbesPerTick, r.effective())
 		if rep, ok := mon.(overheadReporter); ok {
-			a := s.assigns[d.ID]
 			frac := rep.TakeOverheadSeconds() / s.Chip.P.TickSeconds
-			s.Chip.Cores[a.Core].SetOverheadFraction(frac)
+			s.Chip.Cores[r.assign.Core].SetOverheadFraction(frac)
 		}
 		// Stall watchdog: a monitor that was asked to probe but did not
 		// advance its access counter is a dead sensor — its rate would
 		// stay stale forever and no decision would ever fire again.
 		if accAfter, _ := mon.Counters(); s.Cfg.ProbesPerTick > 0 &&
 			s.Cfg.WatchdogStalledTicks > 0 && accAfter == accBefore {
-			s.stalled[d.ID]++
-			if s.stalled[d.ID] >= s.Cfg.WatchdogStalledTicks {
-				out = append(out, s.failSafe(d, mon, "monitor stalled (sensor dropout)"))
+			r.stalled++
+			if r.stalled >= s.Cfg.WatchdogStalledTicks {
+				out = append(out, s.failSafe(r, "monitor stalled (sensor dropout)"))
 				continue
 			}
-		} else if s.stalled[d.ID] != 0 {
-			delete(s.stalled, d.ID)
+		} else {
+			r.stalled = 0
 		}
-		act := Action{Domain: d.ID}
+		act := Action{Domain: r.id}
 		if mon.TakeEmergency() {
 			act.Kind = Emergency
 			act.ErrorRate = mon.ErrorRate()
-			s.lastRate[d.ID] = act.ErrorRate
+			r.lastRate = act.ErrorRate
 			s.emergencies++
-			d.Rail.StepUp(s.Cfg.EmergencySteps)
+			r.supply.StepUp(s.Cfg.EmergencySteps)
 			mon.ResetCounters()
 		} else if acc, errs := mon.Counters(); acc >= s.Cfg.DecisionProbes {
 			// A decision's worth of counters is also when firmware
@@ -456,28 +510,28 @@ func (s *System) Tick() []Action {
 			// datapath reads as a perfect zero rate and would otherwise
 			// walk the rail off the voltage cliff.
 			if st, ok := mon.(selfTester); ok && !st.SelfTest() {
-				out = append(out, s.failSafe(d, mon, "self-test failed"))
+				out = append(out, s.failSafe(r, "self-test failed"))
 				continue
 			}
 			rate := mon.ErrorRate()
 			act.ErrorRate = rate
-			s.lastRate[d.ID] = rate
-			act.Kind = s.applyDecision(d.Rail, s.pol.Decide(policy.Input{
-				Domain:    d.ID,
+			r.lastRate = rate
+			act.Kind = s.applyDecision(r.supply, s.pol.Decide(policy.Input{
+				Domain:    r.id,
 				Tick:      s.Chip.Ticks(),
 				ErrorRate: rate,
 				Accesses:  acc,
 				Errors:    errs,
-				TargetV:   d.Rail.Target(),
+				TargetV:   r.supply.Target(),
 				NominalV:  s.Chip.P.Point.NominalVdd,
-				StepV:     d.Rail.Params().StepV,
+				StepV:     r.supply.Params().StepV,
 			}))
 			mon.ResetCounters()
 		} else {
 			act.Kind = Pending
 			act.ErrorRate = mon.ErrorRate()
 		}
-		act.NewTarget = d.Rail.Target()
+		act.NewTarget = r.supply.Target()
 		out = append(out, act)
 	}
 	s.acts = out
@@ -519,44 +573,43 @@ func stepsOrOne(n int) int {
 	return n
 }
 
-// failSafe permanently stops speculating on a domain after a monitor
+// failSafe permanently stops speculating on a rail after a monitor
 // fault: the monitor is deactivated (its line returns to service), the
 // assignment is dropped, and the rail reverts to nominal Vdd where the
-// design is unconditionally safe. Sibling domains are untouched.
-// Recalibrating the domain (CalibrateDomain) restores speculation.
-func (s *System) failSafe(d *chip.Domain, mon Prober, reason string) Action {
-	rate := mon.ErrorRate()
-	mon.Deactivate()
-	delete(s.active, d.ID)
-	delete(s.assigns, d.ID)
-	delete(s.stalled, d.ID)
-	s.failed[d.ID] = reason
-	d.Rail.SetTarget(s.Chip.P.Point.NominalVdd)
-	return Action{Domain: d.ID, Kind: FailSafe, ErrorRate: rate,
-		NewTarget: d.Rail.Target()}
+// design is unconditionally safe. Sibling rails are untouched.
+// Recalibrating the rail (CalibrateDomain, AttachUncore) restores
+// speculation.
+func (s *System) failSafe(r *rail, reason string) Action {
+	rate := r.mon.ErrorRate()
+	s.release(r)
+	r.failed = reason
+	r.supply.SetTarget(s.Chip.P.Point.NominalVdd)
+	return Action{Domain: r.id, Kind: FailSafe, ErrorRate: rate,
+		NewTarget: r.supply.Target()}
 }
 
-// FailedSafe reports whether the controller has failed the domain safe,
-// and why.
+// FailedSafe reports whether the controller has failed the domain (or,
+// for UncoreDomainID, the uncore) safe, and why.
 func (s *System) FailedSafe(domain int) (reason string, ok bool) {
-	reason, ok = s.failed[domain]
-	return reason, ok
+	if r := s.rail(domain); r != nil && r.failed != "" {
+		return r.failed, true
+	}
+	return "", false
 }
 
-// FailSafeDomains returns the ids of all failed-safe domains, sorted.
+// FailSafeDomains returns the ids of all failed-safe rails, sorted
+// (UncoreDomainID first when the uncore failed safe).
 func (s *System) FailSafeDomains() []int {
-	if len(s.failed) == 0 {
-		return nil
+	var ids []int
+	for i := range s.rails {
+		if r := &s.rails[i]; r.failed != "" {
+			ids = append(ids, r.id)
+		}
 	}
-	ids := make([]int, 0, len(s.failed))
-	for id := range s.failed {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	return ids
 }
 
 // Emergencies returns how many emergency interrupts this system has
-// serviced in this process. The counter is telemetry, not checkpoint
-// state: it restarts at zero after a restore.
+// serviced in this process, on every rail. The counter is telemetry, not
+// checkpoint state: it restarts at zero after a restore.
 func (s *System) Emergencies() int { return s.emergencies }

@@ -1,13 +1,5 @@
 package control
 
-import (
-	"fmt"
-
-	"eccspec/internal/monitor"
-	"eccspec/internal/policy"
-	"eccspec/internal/variation"
-)
-
 // Uncore speculation is a natural extension the paper leaves on the
 // table: its system scales only the core rails while "the uncore
 // components, such as the L3 cache and memory controllers" stay at
@@ -15,80 +7,16 @@ import (
 // same mechanism applies — calibrate the L3's weakest line, give it a
 // monitor, and run the floor/ceiling loop on the uncore rail.
 
-// uncoreState holds the optional uncore-speculation extension's state.
-type uncoreState struct {
-	mon    Prober
-	assign Assignment
-	// UncoreDomainID tags uncore actions in Tick results.
-}
-
-// UncoreDomainID is the Action.Domain value used for uncore decisions.
+// UncoreDomainID is the Action.Domain value used for uncore decisions,
+// and the domain id that Assignment, ActiveMonitor, LastErrorRate and
+// FailedSafe take for the uncore.
 const UncoreDomainID = -1
 
 // AttachUncore enables uncore speculation: sweep the shared L3 for its
 // weakest line, de-configure it, and drive the uncore rail from its
 // correctable-error rate alongside the core domains. Call after New (or
-// NewFirmwareApproximation) and before the control loop starts.
+// NewFirmwareApproximation) and before the control loop starts; calling
+// it again recalibrates the uncore, as CalibrateDomain does a domain.
 func (s *System) AttachUncore() (Assignment, error) {
-	nominal := s.Chip.P.Point.NominalVdd
-	for v := nominal; v >= s.Cfg.CalibFloorV; v -= s.Cfg.CalibStepV {
-		set, way, found := s.sweepCache(s.Chip.L3, v)
-		if !found {
-			continue
-		}
-		a := Assignment{Domain: UncoreDomainID, Core: -1, Kind: variation.KindL3,
-			Set: set, Way: way, OnsetV: v}
-		mon := monitor.New(s.Chip.L3, monitor.Config{})
-		mon.Activate(set, way)
-		s.uncore = &uncoreState{mon: mon, assign: a}
-		s.bindPolicyDomain(UncoreDomainID, a, s.Chip.UncoreRail)
-		return a, nil
-	}
-	return Assignment{}, fmt.Errorf("control: no correctable errors found in the L3 above %.3f V",
-		s.Cfg.CalibFloorV)
-}
-
-// UncoreAssignment returns the uncore extension's target line.
-func (s *System) UncoreAssignment() (Assignment, bool) {
-	if s.uncore == nil {
-		return Assignment{}, false
-	}
-	return s.uncore.assign, true
-}
-
-// tickUncore runs one controller iteration for the uncore rail; it
-// mirrors the per-domain logic in Tick.
-func (s *System) tickUncore() (Action, bool) {
-	if s.uncore == nil {
-		return Action{}, false
-	}
-	mon := s.uncore.mon
-	rail := s.Chip.UncoreRail
-	mon.ProbeN(s.Cfg.ProbesPerTick, s.Chip.LastUncoreEffective())
-	act := Action{Domain: UncoreDomainID}
-	if mon.TakeEmergency() {
-		act.Kind = Emergency
-		act.ErrorRate = mon.ErrorRate()
-		rail.StepUp(s.Cfg.EmergencySteps)
-		mon.ResetCounters()
-	} else if acc, errs := mon.Counters(); acc >= s.Cfg.DecisionProbes {
-		rate := mon.ErrorRate()
-		act.ErrorRate = rate
-		act.Kind = s.applyDecision(rail, s.pol.Decide(policy.Input{
-			Domain:    UncoreDomainID,
-			Tick:      s.Chip.Ticks(),
-			ErrorRate: rate,
-			Accesses:  acc,
-			Errors:    errs,
-			TargetV:   rail.Target(),
-			NominalV:  s.Chip.P.Point.NominalVdd,
-			StepV:     rail.Params().StepV,
-		}))
-		mon.ResetCounters()
-	} else {
-		act.Kind = Pending
-		act.ErrorRate = mon.ErrorRate()
-	}
-	act.NewTarget = rail.Target()
-	return act, true
+	return s.calibrate(s.rail(UncoreDomainID))
 }

@@ -1,9 +1,11 @@
 package control
 
 import (
+	"strings"
 	"testing"
 
 	"eccspec/internal/chip"
+	"eccspec/internal/monitor"
 	"eccspec/internal/variation"
 	"eccspec/internal/workload"
 )
@@ -20,9 +22,9 @@ func TestAttachUncoreCalibratesL3(t *testing.T) {
 	if !c.L3.LineDisabled(a.Set, a.Way) {
 		t.Fatal("uncore monitor line not de-configured")
 	}
-	got, ok := s.UncoreAssignment()
+	got, ok := s.Assignment(UncoreDomainID)
 	if !ok || got != a {
-		t.Fatal("UncoreAssignment lookup mismatch")
+		t.Fatal("Assignment(UncoreDomainID) lookup mismatch")
 	}
 	// Onset must sit above the uncore's hard floor: the early-warning
 	// property, uncore edition.
@@ -33,7 +35,7 @@ func TestAttachUncoreCalibratesL3(t *testing.T) {
 
 func TestUncoreAssignmentEmptyBeforeAttach(t *testing.T) {
 	_, s := testSystem(32)
-	if _, ok := s.UncoreAssignment(); ok {
+	if _, ok := s.Assignment(UncoreDomainID); ok {
 		t.Fatal("assignment reported before AttachUncore")
 	}
 }
@@ -66,11 +68,110 @@ func TestUncoreTickConverges(t *testing.T) {
 	}
 	// The uncore must settle where its monitored line's error
 	// probability sits near the control band.
-	a, _ := s.UncoreAssignment()
+	a, _ := s.Assignment(UncoreDomainID)
 	p := c.L3.Array().FlipProbability(a.Set, a.Way, c.LastUncoreEffective())
 	if p < s.Cfg.FloorRate/20 || p > s.Cfg.CeilRate*20 {
 		t.Fatalf("uncore settled at %.3f where line error prob is %v",
 			c.UncoreRail.Target(), p)
+	}
+}
+
+// TestUncoreFaultStuckZeroFailsSafe breaks the uncore monitor's datapath
+// after the uncore rail has speculated below nominal: the self-test
+// cross-check must revert the uncore rail to nominal Vdd, exactly as it
+// does for a core domain, while the core domains keep speculating.
+func TestUncoreFaultStuckZeroFailsSafe(t *testing.T) {
+	c, s := testSystem(36)
+	if _, err := s.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AttachUncore(); err != nil {
+		t.Fatal(err)
+	}
+	converge(c, s, 1200)
+	nominal := c.P.Point.NominalVdd
+	if got := c.UncoreRail.Target(); got >= nominal {
+		t.Fatalf("uncore rail never speculated: %.3f V", got)
+	}
+
+	mon, ok := s.ActiveMonitor(UncoreDomainID).(*monitor.Monitor)
+	if !ok {
+		t.Fatal("uncore has no active hardware monitor")
+	}
+	mon.SetFault(monitor.FaultStuckZero)
+	converge(c, s, 50)
+
+	reason, ok := s.FailedSafe(UncoreDomainID)
+	if !ok || !strings.Contains(reason, "self-test") {
+		t.Fatalf("FailedSafe(uncore) = %q, %v; want a self-test reason", reason, ok)
+	}
+	if got := c.UncoreRail.Target(); got != nominal {
+		t.Fatalf("failed uncore rail at %.3f V, want nominal %.3f V", got, nominal)
+	}
+	if s.ActiveMonitor(UncoreDomainID) != nil {
+		t.Fatal("failed uncore still holds a monitor")
+	}
+	if c.L3.LineDisabled(mon.Target()) {
+		t.Fatal("failed uncore monitor line not returned to service")
+	}
+	for _, d := range c.Domains {
+		if got := d.Rail.Target(); got >= nominal {
+			t.Fatalf("domain %d stopped speculating: %.3f V", d.ID, got)
+		}
+	}
+}
+
+// TestUncoreStateRoundTrip checkpoints the uncore rail through the same
+// capture/restore path as the domains: the uncore entry carries its
+// telemetry rate, a state without one (the format before the uncore
+// recorded it) still restores, and an uncore entry that names a line
+// outside the L3 is rejected.
+func TestUncoreStateRoundTrip(t *testing.T) {
+	c, s := testSystem(37)
+	if _, err := s.Calibrate(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.AttachUncore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	converge(c, s, 600)
+	st, err := s.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Uncore == nil || st.Uncore.Assignment != a || len(st.Domains) != len(c.Domains) {
+		t.Fatalf("captured uncore %+v with %d domains", st.Uncore, len(st.Domains))
+	}
+	if st.Uncore.LastRate != s.LastErrorRate(UncoreDomainID) {
+		t.Fatalf("captured uncore rate %v, live %v", st.Uncore.LastRate, s.LastErrorRate(UncoreDomainID))
+	}
+
+	for _, rate := range []float64{st.Uncore.LastRate, 0} {
+		u := *st.Uncore
+		u.LastRate = rate
+		c2, s2 := testSystem(37)
+		if err := s2.RestoreState(State{Domains: st.Domains, Uncore: &u}); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s2.Assignment(UncoreDomainID); !ok || got != a {
+			t.Fatalf("restored uncore assignment %+v, %v; want %+v", got, ok, a)
+		}
+		if s2.ActiveMonitor(UncoreDomainID) == nil || !c2.L3.LineDisabled(a.Set, a.Way) {
+			t.Fatal("restored uncore monitor not active on its line")
+		}
+		if got := s2.LastErrorRate(UncoreDomainID); got != rate {
+			t.Fatalf("restored uncore rate %v, want %v", got, rate)
+		}
+	}
+
+	bad := *st.Uncore
+	bad.Assignment.Core, bad.Assignment.Kind = 0, variation.KindL2D
+	if _, s2 := testSystem(37); s2.RestoreState(State{Uncore: &bad}) == nil {
+		t.Fatal("uncore state naming an L2 line restored")
+	}
+	if _, s2 := testSystem(37); s2.RestoreState(State{Domains: []DomainControlState{*st.Uncore}}) == nil {
+		t.Fatal("uncore state restored as a domain")
 	}
 }
 
