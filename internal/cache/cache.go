@@ -275,73 +275,55 @@ type ReadResult struct {
 // the hardware ECC monitor as well as the internal step of every
 // address-based access.
 func (c *Cache) ReadLine(set, way int, v float64) ReadResult {
-	ln := c.lineAt(set, way)
-	c.clock++
-	ln.lastUse = c.clock
 	var res ReadResult
-	flips := c.arr.SampleFlips(set, way, v)
-	// Fast path: clean read.
-	if len(flips) == 0 {
-		for w := 0; w < sram.WordsPerLine; w++ {
-			res.Data[w] = ecc.ExtractData(ln.words[w])
-		}
-		return res
-	}
-	// Inject the transient flips into per-word copies and decode.
-	res.Events = c.events[:0]
-	var corrupted [sram.WordsPerLine]ecc.Codeword
-	copy(corrupted[:], ln.words[:])
-	for _, pos := range flips {
-		corrupted[pos/ecc.CodewordBits].FlipBit(pos % ecc.CodewordBits)
-	}
-	for w := 0; w < sram.WordsPerLine; w++ {
-		if corrupted[w] == ln.words[w] {
-			res.Data[w] = ecc.ExtractData(ln.words[w])
-			continue
-		}
-		data, st, bit := ecc.Decode(corrupted[w])
-		res.Data[w] = data
-		ev := Event{Cache: c.cfg.Name, Core: c.core, Set: set, Way: way,
-			Word: w, Status: st, BitPos: bit}
-		switch st {
-		case ecc.Corrected:
-			c.stats.Corrected++
-			res.Events = append(res.Events, ev)
-		case ecc.Uncorrectable:
-			c.stats.Uncorrectable++
-			res.Events = append(res.Events, ev)
-			res.Fatal = true
-		}
-	}
-	c.events = res.Events
+	res.Events, res.Fatal = c.read(set, way, v, &res.Data)
 	return res
 }
 
 // ProbeLine is ReadLine for callers that consume only the ECC outcome
-// and not the data — the hardware monitor's continuous self-test. Fault
-// sampling, decoding, event generation, and counter updates are
-// identical to ReadLine; it returns only ReadResult's Events (scratch,
-// as there) and Fatal, and never materializes the decoded words, which
-// keeps the per-tick probe train off the hot path's profile.
+// and not the data — the hardware monitor's continuous self-test. It
+// returns only ReadResult's Events (scratch, as there) and Fatal, and
+// never materializes the decoded words, which keeps the per-tick probe
+// train off the hot path's profile.
 func (c *Cache) ProbeLine(set, way int, v float64) (events []Event, fatal bool) {
+	return c.read(set, way, v, nil)
+}
+
+// read is the physical read behind ReadLine and ProbeLine: it advances
+// the line's last use, samples the transient flips at v, injects them
+// into a copy of the line, decodes each flipped codeword, and counts and
+// records its ECC event. It writes the decoded words to data unless data
+// is nil.
+func (c *Cache) read(set, way int, v float64, data *[sram.WordsPerLine]uint64) (events []Event, fatal bool) {
 	ln := c.lineAt(set, way)
 	c.clock++
 	ln.lastUse = c.clock
 	flips := c.arr.SampleFlips(set, way, v)
+	// Fast path: clean read.
 	if len(flips) == 0 {
+		if data != nil {
+			for w := range data {
+				data[w] = ecc.ExtractData(ln.words[w])
+			}
+		}
 		return nil, false
 	}
 	events = c.events[:0]
-	var corrupted [sram.WordsPerLine]ecc.Codeword
-	copy(corrupted[:], ln.words[:])
+	corrupted := ln.words
 	for _, pos := range flips {
 		corrupted[pos/ecc.CodewordBits].FlipBit(pos % ecc.CodewordBits)
 	}
-	for w := 0; w < sram.WordsPerLine; w++ {
+	for w := range corrupted {
 		if corrupted[w] == ln.words[w] {
+			if data != nil {
+				data[w] = ecc.ExtractData(ln.words[w])
+			}
 			continue
 		}
-		_, st, bit := ecc.Decode(corrupted[w])
+		d, st, bit := ecc.Decode(corrupted[w])
+		if data != nil {
+			data[w] = d
+		}
 		ev := Event{Cache: c.cfg.Name, Core: c.core, Set: set, Way: way,
 			Word: w, Status: st, BitPos: bit}
 		switch st {
