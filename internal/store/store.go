@@ -25,7 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -660,19 +660,19 @@ func (s *Store) compactLocked() error {
 		if err := writeRec(record{T: "job", Job: id, Spec: &spec}); err != nil {
 			return fail(err)
 		}
-		for _, seed := range sortedSeeds(j.Chips) {
+		for _, seed := range sortedKeys(j.Chips) {
 			chip := j.Chips[seed]
 			if err := writeRec(record{T: "chip", Job: id, Chip: &chip}); err != nil {
 				return fail(err)
 			}
 		}
-		for _, seed := range sortedBlobSeeds(j.Checkpoints) {
+		for _, seed := range sortedKeys(j.Checkpoints) {
 			if err := writeRec(record{T: "ckpt", Job: id, Seed: seed,
 				Ticks: j.CheckpointTicks[seed], Blob: j.Checkpoints[seed]}); err != nil {
 				return fail(err)
 			}
 		}
-		for _, seed := range sortedAssignSeeds(j.Assignments) {
+		for _, seed := range sortedKeys(j.Assignments) {
 			if err := writeRec(record{T: "assign", Job: id, Seed: seed,
 				Worker: j.Assignments[seed]}); err != nil {
 				return fail(err)
@@ -733,29 +733,12 @@ func (s *Store) Close() error {
 	return s.f.Close()
 }
 
-func sortedSeeds(m map[uint64]ChipRecord) []uint64 {
+// sortedKeys returns m's seeds in ascending order.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
 	out := make([]uint64, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedAssignSeeds(m map[uint64]string) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedBlobSeeds(m map[uint64][]byte) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
