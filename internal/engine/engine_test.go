@@ -257,16 +257,3 @@ func TestTicksDrivesChipAndStopsEarly(t *testing.T) {
 		t.Fatalf("chip tick counter = %d, want 14", c.Ticks())
 	}
 }
-
-func TestLoopStopsEarly(t *testing.T) {
-	if n := Loop(10, func(t int) bool { return t < 2 }); n != 3 {
-		t.Fatalf("Loop ran %d steps, want 3", n)
-	}
-	if n := Loop(5, nilSafeStep()); n != 5 {
-		t.Fatalf("Loop ran %d steps, want 5", n)
-	}
-}
-
-func nilSafeStep() func(int) bool {
-	return func(int) bool { return true }
-}

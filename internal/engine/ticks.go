@@ -39,16 +39,3 @@ func Ticks(c *chip.Chip, ctl *control.System, n int, fn TickFunc) int {
 	}
 	return n
 }
-
-// Loop drives an arbitrary step function n times — the engine-owned
-// form of loops whose step is not a single chip (a blade of chips, a
-// firmware adaptation cycle). step returns false to stop early; Loop
-// returns the number of steps completed.
-func Loop(n int, step func(t int) bool) int {
-	for t := 0; t < n; t++ {
-		if !step(t) {
-			return t + 1
-		}
-	}
-	return n
-}

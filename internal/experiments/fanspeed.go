@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"eccspec/internal/control"
-	"eccspec/internal/engine"
 	"eccspec/internal/server"
 	"eccspec/internal/workload"
 )
@@ -46,12 +45,11 @@ func runFanSpeed(o Options) (*Result, error) {
 		}
 		ctls = append(ctls, ctl)
 	}
-	tick := func(int) bool {
+	step := func() {
 		blade.Step()
 		for _, ctl := range ctls {
 			ctl.Tick()
 		}
-		return true
 	}
 	converge := o.scale(2000, 250)
 	measure := o.scale(1500, 200)
@@ -62,27 +60,30 @@ func runFanSpeed(o Options) (*Result, error) {
 			sums = append(sums, 0, 0, 0, 0)
 		}
 		tempSum := 0.0
-		engine.Loop(measure, func(t int) bool {
-			tick(t)
+		for t := 0; t < measure; t++ {
+			step()
 			for ci, c := range blade.Chips {
 				for di, d := range c.Domains {
 					sums[ci*4+di] += d.Rail.Target()
 				}
 			}
 			tempSum += blade.Chips[0].Cores[0].Temperature()
-			return true
-		})
+		}
 		for i := range sums {
 			sums[i] /= float64(measure)
 		}
 		return sums, tempSum / float64(measure)
 	}
 
-	engine.Loop(converge, tick)
+	for t := 0; t < converge; t++ {
+		step()
+	}
 	coolV, coolT := record()
 
 	blade.SetFanSpeed(0.15)
-	engine.Loop(converge, tick)
+	for t := 0; t < converge; t++ {
+		step()
+	}
 	hotV, hotT := record()
 
 	maxShift := 0.0

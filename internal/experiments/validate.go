@@ -64,10 +64,9 @@ func runValidate(o Options) (*Result, error) {
 			c.Cores[0].Hier.L2D, variation.KindL2D, o.Seed)
 		veff := effectiveOf(v)
 		total := 0
-		engine.Loop(ticks, func(int) bool {
+		for t := 0; t < ticks; t++ {
 			total += r.Tick(dt, veff)
-			return true
-		})
+		}
 		return float64(total) / (float64(ticks) * dt)
 	}
 

@@ -194,15 +194,15 @@ type Config struct {
 	// Workers caps concurrent chip simulations; <= 0 selects
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// QueueDepth bounds the dispatch queue feeding the workers; <= 0
-	// selects twice the worker count.
-	QueueDepth int
 }
+
+// queuePerWorker sizes the dispatch queue: the dispatcher only enqueues
+// seed indices, so two waiting per worker keep every worker fed.
+const queuePerWorker = 2
 
 // Engine is a reusable worker pool for fleet jobs.
 type Engine struct {
 	workers int
-	queue   int
 }
 
 // New builds an engine from cfg.
@@ -211,11 +211,7 @@ func New(cfg Config) *Engine {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	q := cfg.QueueDepth
-	if q <= 0 {
-		q = 2 * w
-	}
-	return &Engine{workers: w, queue: q}
+	return &Engine{workers: w}
 }
 
 // Workers returns the concurrency cap.
@@ -246,11 +242,7 @@ func (e *Engine) Run(ctx context.Context, job Job, onProgress func(done, total i
 	if workers > n {
 		workers = n
 	}
-	depth := e.queue
-	if depth > n {
-		depth = n
-	}
-	jobs := make(chan int, depth)
+	jobs := make(chan int, min(queuePerWorker*e.workers, n))
 
 	var (
 		wg       sync.WaitGroup

@@ -138,7 +138,7 @@ func TestNoEmergencyBelowMinAccesses(t *testing.T) {
 	// but where single-bit errors are near-certain.
 	p := c.Array().LineProfile(set, way)
 	v := vmax - 0.02
-	if pu := c.Array().UncorrectableProbability(set, way, v); pu > 1e-6 {
+	if _, pu := c.Array().ErrorProbabilities(set, way, v); pu > 1e-6 {
 		t.Skipf("uncorrectable probability %v too high for this seed", pu)
 	}
 	_ = p

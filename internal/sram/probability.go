@@ -2,25 +2,6 @@ package sram
 
 import "eccspec/internal/variation"
 
-// SingleErrorProbability returns the probability that one read of the
-// line at voltage v produces at least one correctable (single-bit-per-
-// word) error and no uncorrectable one. For the operating regimes the
-// speculation system targets this is dominated by the line's weakest
-// cell.
-func (a *Array) SingleErrorProbability(set, way int, v float64) float64 {
-	ps, _ := a.ErrorProbabilities(set, way, v)
-	return ps
-}
-
-// UncorrectableProbability returns the probability that one read of the
-// line at voltage v flips two or more bits within a single codeword — a
-// detected-uncorrectable, fatal error. With two profiled cells per word
-// this is exact to the profile's resolution.
-func (a *Array) UncorrectableProbability(set, way int, v float64) float64 {
-	_, pu := a.ErrorProbabilities(set, way, v)
-	return pu
-}
-
 // ErrorProbabilities returns, for one read of the line at voltage v, the
 // probability of a correctable event (at least one flip, but no word
 // with two) and of an uncorrectable event (some word with two flips).
