@@ -109,9 +109,10 @@ func (s *System) restoreRail(r *rail, ds DomainControlState) error {
 	if a.Domain != r.id || !slices.Contains(r.lines, monKey{a.Core, a.Kind}) {
 		return fmt.Errorf("control: domain %d has no monitor for assignment %s", r.id, a)
 	}
-	mon, ok := s.probers[monKey{a.Core, a.Kind}].(*monitor.Monitor)
+	p := s.probers[monKey{a.Core, a.Kind}]
+	mon, ok := p.(*monitor.Monitor)
 	if !ok {
-		return fmt.Errorf("control: probing agent for core %d %s is not checkpointable", a.Core, a.Kind)
+		return fmt.Errorf("control: probing agent %T for core %d %s is not checkpointable", p, a.Core, a.Kind)
 	}
 	if cfg := mon.Cache().Config(); a.Set < 0 || a.Set >= cfg.Sets || a.Way < 0 || a.Way >= cfg.Ways {
 		return fmt.Errorf("control: assignment %s out of range for %s (%dx%d)", a, cfg.Name, cfg.Sets, cfg.Ways)

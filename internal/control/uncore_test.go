@@ -124,8 +124,8 @@ func TestUncoreFaultStuckZeroFailsSafe(t *testing.T) {
 // TestUncoreStateRoundTrip checkpoints the uncore rail through the same
 // capture/restore path as the domains: the uncore entry carries its
 // telemetry rate, a state without one (the format before the uncore
-// recorded it) still restores, and an uncore entry that names a line
-// outside the L3 is rejected.
+// recorded it) still restores, and states that put an uncore entry on an
+// L2 line or among the domains, or hold a domain twice, are rejected.
 func TestUncoreStateRoundTrip(t *testing.T) {
 	c, s := testSystem(37)
 	if _, err := s.Calibrate(); err != nil {
@@ -172,6 +172,9 @@ func TestUncoreStateRoundTrip(t *testing.T) {
 	}
 	if _, s2 := testSystem(37); s2.RestoreState(State{Domains: []DomainControlState{*st.Uncore}}) == nil {
 		t.Fatal("uncore state restored as a domain")
+	}
+	if _, s2 := testSystem(37); s2.RestoreState(State{Domains: append(st.Domains[:1:1], st.Domains[0])}) == nil {
+		t.Fatal("state holding one domain twice restored")
 	}
 }
 
