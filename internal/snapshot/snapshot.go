@@ -22,6 +22,7 @@ package snapshot
 
 import (
 	"fmt"
+	"math"
 
 	"eccspec"
 	"eccspec/internal/chip"
@@ -57,9 +58,12 @@ type OptionsState struct {
 // CaptureTrace shares its recorder's storage, so its slices are
 // read-only.
 type TraceState struct {
-	Columns []string    `json:"columns"`
-	Times   []float64   `json:"times"`
-	Rows    [][]float64 `json:"rows"`
+	Columns []string `json:"columns"`
+	// From is the trace index of the first row held: 0 for a whole
+	// trace, the number of rows stored before it for a tail (Tail).
+	From  int         `json:"from,omitempty"`
+	Times []float64   `json:"times"`
+	Rows  [][]float64 `json:"rows"`
 }
 
 // CaptureTrace snapshots a recorder (nil recorder gives nil state).
@@ -83,24 +87,51 @@ func CaptureTrace(r *trace.Recorder) *TraceState {
 	return st
 }
 
+// check reports a trace state whose shape is inconsistent.
+func (ts *TraceState) check() error {
+	if len(ts.Columns) == 0 {
+		return fmt.Errorf("snapshot: trace state has no columns")
+	}
+	if len(ts.Columns) > maxTraceColumns {
+		return fmt.Errorf("snapshot: trace state has %d columns", len(ts.Columns))
+	}
+	if ts.From < 0 || int64(ts.From)+int64(len(ts.Times)) > math.MaxUint32 {
+		return fmt.Errorf("snapshot: trace state holds rows [%d, %d)", ts.From, ts.From+len(ts.Times))
+	}
+	if len(ts.Times) != len(ts.Rows) {
+		return fmt.Errorf("snapshot: trace state has %d times but %d rows", len(ts.Times), len(ts.Rows))
+	}
+	for i, row := range ts.Rows {
+		if len(row) != len(ts.Columns) {
+			return fmt.Errorf("snapshot: trace row %d has %d values for %d columns", i, len(row), len(ts.Columns))
+		}
+	}
+	return nil
+}
+
+// Tail returns the state's rows from trace index at on, sharing their
+// storage. at must lie in [From, From+len(Times)].
+func (ts *TraceState) Tail(at int) *TraceState {
+	i := at - ts.From
+	return &TraceState{Columns: ts.Columns, From: at, Times: ts.Times[i:len(ts.Times):len(ts.Times)], Rows: ts.Rows[i:len(ts.Rows):len(ts.Rows)]}
+}
+
 // RestoreTrace rebuilds a recorder from a trace state (nil state gives
-// nil recorder).
+// nil recorder). Only a whole trace restores: a tail must first be
+// joined onto the rows before it.
 func (ts *TraceState) RestoreTrace() (*trace.Recorder, error) {
 	if ts == nil {
 		return nil, nil
 	}
-	if len(ts.Columns) == 0 {
-		return nil, fmt.Errorf("snapshot: trace state has no columns")
+	if err := ts.check(); err != nil {
+		return nil, err
 	}
-	if len(ts.Times) != len(ts.Rows) {
-		return nil, fmt.Errorf("snapshot: trace state has %d times but %d rows", len(ts.Times), len(ts.Rows))
+	if ts.From != 0 {
+		return nil, fmt.Errorf("snapshot: trace state starts at row %d; its first rows are missing", ts.From)
 	}
 	r := trace.NewRecorder(ts.Columns...)
 	r.Grow(len(ts.Times))
 	for i, t := range ts.Times {
-		if len(ts.Rows[i]) != len(ts.Columns) {
-			return nil, fmt.Errorf("snapshot: trace row %d has %d values for %d columns", i, len(ts.Rows[i]), len(ts.Columns))
-		}
 		r.Add(t, ts.Rows[i]...)
 	}
 	return r, nil

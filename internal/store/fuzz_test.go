@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // Open must never panic and must always come back in a usable state
 // (the journal it leaves behind must itself replay cleanly).
 func FuzzJournalRecover(f *testing.F) {
-	// Seed the corpus with a real journal capture plus classic tails.
+	// Seed the corpus with real journal captures plus classic tails.
 	dir := f.TempDir()
 	st, err := Open(dir, Options{})
 	if err != nil {
@@ -35,6 +36,16 @@ func FuzzJournalRecover(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(capture)
+	// A journal of delta checkpoints and a tail chip record, whole and
+	// with its last checkpoint torn mid-blob.
+	traced := f.TempDir()
+	writeTracedJournal(f, traced)
+	deltas, err := os.ReadFile(filepath.Join(traced, JournalName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(deltas)
+	f.Add(deltas[:bytes.LastIndex(deltas, []byte(`"t":"ckpt"`))+400])
 	f.Add([]byte{})
 	f.Add(append(append([]byte(nil), capture...), `{"t":"chip","job":1,"chip":{"se`...))
 	f.Add([]byte("{\"t\":\"job\",\"job\":1}\n{\"t\":\"done\",\"job\":1}\n"))

@@ -9,6 +9,14 @@
 // costs at most one checkpoint interval of re-simulation, never
 // correctness, because every chip result is reproducible from its seed.
 //
+// A traced chip's rows are journaled once each. A checkpoint record
+// holds the snapshot state plus only the trace rows past those the
+// journal already holds for its seed (a delta blob, see
+// snapshot.Traced), and a chip record only the rows past its last
+// checkpoint. Replay folds each seed's records back into one
+// self-contained blob by joining their rows; every blob and record the
+// store hands out is whole.
+//
 // Recovery reads the journal back, applies records in order, and
 // truncates the file at the first corrupt or partial line (the torn
 // tail a crash mid-append leaves behind), so a recovered store is
@@ -31,6 +39,7 @@ import (
 
 	"eccspec/internal/fleet"
 	"eccspec/internal/rng"
+	"eccspec/internal/snapshot"
 )
 
 // ErrReadOnly is returned by every mutating method of a store opened
@@ -73,11 +82,16 @@ type JobRecord struct {
 	// Chips holds the completion record of every finished chip, keyed
 	// by seed.
 	Chips map[uint64]ChipRecord
-	// Checkpoints holds the latest snapshot blob per unfinished seed;
-	// CheckpointTicks the tick count each blob was taken at. Cleared
-	// when the job completes.
+	// Checkpoints holds the latest snapshot blob per unfinished seed,
+	// whole (with its full partial trace); CheckpointTicks the tick
+	// count each blob was taken at. Cleared when the job completes.
 	Checkpoints     map[uint64][]byte
 	CheckpointTicks map[uint64]int
+	// journaled counts, per seed whose checkpoint is a traced blob, the
+	// trace rows the journal holds for it: the next checkpoint or chip
+	// record journals only the rows past them. It advances only once an
+	// append succeeds.
+	journaled map[uint64]int
 	// Assignments maps each seed to the cluster worker it was last
 	// placed on (empty for single-node jobs). Unlike checkpoints the
 	// map survives completion: it is the job's placement history, and
@@ -302,6 +316,7 @@ func (s *Store) apply(rec record) bool {
 			Checkpoints:     make(map[uint64][]byte),
 			CheckpointTicks: make(map[uint64]int),
 			Assignments:     make(map[uint64]string),
+			journaled:       make(map[uint64]int),
 		}
 		s.order = append(s.order, rec.Job)
 	case "chip":
@@ -309,9 +324,11 @@ func (s *Store) apply(rec record) bool {
 		if j == nil || rec.Chip == nil {
 			return false
 		}
-		j.Chips[rec.Chip.Seed] = *rec.Chip
-		delete(j.Checkpoints, rec.Chip.Seed)
-		delete(j.CheckpointTicks, rec.Chip.Seed)
+		chip, err := j.wholeChip(*rec.Chip)
+		if err != nil {
+			return true // a tail of rows the journal lost; dropped
+		}
+		j.setChip(chip)
 	case "ckpt":
 		j := s.jobs[rec.Job]
 		if j == nil || len(rec.Blob) == 0 {
@@ -320,8 +337,13 @@ func (s *Store) apply(rec record) bool {
 		if _, done := j.Chips[rec.Seed]; done {
 			return true // stale checkpoint racing a completion; ignore
 		}
-		j.Checkpoints[rec.Seed] = rec.Blob
+		blob, err := j.wholeCheckpoint(rec.Seed, rec.Blob)
+		if err != nil {
+			return true // a delta onto rows the journal lost; dropped
+		}
+		j.Checkpoints[rec.Seed] = blob
 		j.CheckpointTicks[rec.Seed] = rec.Ticks
+		j.noteJournaled(rec.Seed)
 	case "assign":
 		j := s.jobs[rec.Job]
 		if j == nil || rec.Worker == "" {
@@ -337,6 +359,7 @@ func (s *Store) apply(rec record) bool {
 		j.CompletedUnix = rec.CompletedUnix
 		j.Checkpoints = make(map[uint64][]byte)
 		j.CheckpointTicks = make(map[uint64]int)
+		j.journaled = make(map[uint64]int)
 	case "evict":
 		if _, ok := s.jobs[rec.Job]; !ok {
 			return false
@@ -462,23 +485,37 @@ func (s *Store) AddJob(id uint64, spec fleet.Job) error {
 
 // RecordChip records one chip's completion. It is a commit point
 // (fsynced): a chip never re-runs after its record hits the journal.
+// The journal gets only the trace rows past the seed's last journaled
+// checkpoint. chip may itself be such a tail (Trace.From > 0), as read
+// back from a journal; it is joined onto the seed's checkpoint.
 func (s *Store) RecordChip(id uint64, chip ChipRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	if s.jobs[id] == nil {
+	j := s.jobs[id]
+	if j == nil {
 		return fmt.Errorf("store: unknown job %d", id)
 	}
-	rec := record{T: "chip", Job: id, Chip: &chip}
-	s.apply(rec)
-	return s.append(rec, true)
+	whole, err := j.wholeChip(chip)
+	if err != nil {
+		return fmt.Errorf("store: job %d seed %d: %w", id, chip.Seed, err)
+	}
+	line := whole
+	if n, ok := j.journaled[chip.Seed]; ok && whole.Trace != nil && n <= len(whole.Trace.Times) {
+		line.Trace = whole.Trace.Tail(n)
+	}
+	j.setChip(whole)
+	return s.append(record{T: "chip", Job: id, Chip: &line}, true)
 }
 
 // RecordCheckpoint records a chip's latest snapshot blob. It is not a
 // commit point: losing a checkpoint to an OS crash costs re-simulation
-// from the previous one, never correctness.
+// from the previous one, never correctness. For a traced blob the
+// journal gets the state and only the rows past those it holds for the
+// seed. blob may itself be such a delta, as read back from a journal;
+// it is folded onto the seed's checkpoint.
 func (s *Store) RecordCheckpoint(id, seed uint64, ticks int, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -492,9 +529,25 @@ func (s *Store) RecordCheckpoint(id, seed uint64, ticks int, blob []byte) error 
 	if _, done := j.Chips[seed]; done {
 		return nil
 	}
-	rec := record{T: "ckpt", Job: id, Seed: seed, Ticks: ticks, Blob: blob}
-	s.apply(rec)
-	return s.append(rec, false)
+	whole, err := j.wholeCheckpoint(seed, blob)
+	if err != nil {
+		return fmt.Errorf("store: job %d seed %d: %w", id, seed, err)
+	}
+	line := whole
+	if t, err := snapshot.SplitTraced(whole); err == nil {
+		if n, ok := j.journaled[seed]; ok && n <= t.End() {
+			if line, err = t.Tail(n); err != nil {
+				return fmt.Errorf("store: job %d seed %d: %w", id, seed, err)
+			}
+		}
+	}
+	j.Checkpoints[seed] = whole
+	j.CheckpointTicks[seed] = ticks
+	if err := s.append(record{T: "ckpt", Job: id, Seed: seed, Ticks: ticks, Blob: line}, false); err != nil {
+		return err
+	}
+	j.noteJournaled(seed)
+	return nil
 }
 
 // RecordAssignment records which cluster worker a seed was last placed
@@ -609,7 +662,57 @@ func (j *JobRecord) clone() JobRecord {
 	for k, v := range j.Assignments {
 		out.Assignments[k] = v
 	}
+	out.journaled = nil
 	return out
+}
+
+// wholeCheckpoint returns the self-contained blob a checkpoint leaves
+// for seed: blob itself, unless it is a delta, which is folded onto the
+// seed's current checkpoint. A blob the store cannot split is kept whole
+// and opaque, as blobs of other formats are.
+func (j *JobRecord) wholeCheckpoint(seed uint64, blob []byte) ([]byte, error) {
+	delta, err := snapshot.SplitTraced(blob)
+	if err != nil || delta.From == 0 {
+		return blob, nil
+	}
+	base, err := snapshot.SplitTraced(j.Checkpoints[seed])
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint delta from row %d has no traced checkpoint to join: %w", delta.From, err)
+	}
+	return base.Fold(delta)
+}
+
+// wholeChip returns chip with its whole trace: a record holding only the
+// rows past the seed's last checkpoint (Trace.From > 0) is joined onto
+// that checkpoint's rows.
+func (j *JobRecord) wholeChip(chip ChipRecord) (ChipRecord, error) {
+	if chip.Trace == nil || chip.Trace.From == 0 {
+		return chip, nil
+	}
+	joined, err := snapshot.JoinTrace(j.Checkpoints[chip.Seed], chip.Trace)
+	if err != nil {
+		return ChipRecord{}, err
+	}
+	chip.Trace = joined
+	return chip, nil
+}
+
+// setChip records a finished chip, which retires its checkpoint.
+func (j *JobRecord) setChip(chip ChipRecord) {
+	j.Chips[chip.Seed] = chip
+	delete(j.Checkpoints, chip.Seed)
+	delete(j.CheckpointTicks, chip.Seed)
+	delete(j.journaled, chip.Seed)
+}
+
+// noteJournaled records that seed's current checkpoint is wholly in the
+// journal.
+func (j *JobRecord) noteJournaled(seed uint64) {
+	if t, err := snapshot.SplitTraced(j.Checkpoints[seed]); err == nil {
+		j.journaled[seed] = t.End()
+	} else {
+		delete(j.journaled, seed)
+	}
 }
 
 // Compact rewrites the journal to hold exactly the current state:
@@ -666,6 +769,8 @@ func (s *Store) compactLocked() error {
 				return fail(err)
 			}
 		}
+		// Checkpoints go out whole, so each seed's trace restarts from
+		// a single self-contained record.
 		for _, seed := range sortedKeys(j.Checkpoints) {
 			if err := writeRec(record{T: "ckpt", Job: id, Seed: seed,
 				Ticks: j.CheckpointTicks[seed], Blob: j.Checkpoints[seed]}); err != nil {
@@ -714,6 +819,11 @@ func (s *Store) compactLocked() error {
 	s.f = f
 	s.goodOff = written
 	s.appends = 0
+	for _, j := range s.jobs {
+		for seed := range j.Checkpoints {
+			j.noteJournaled(seed)
+		}
+	}
 	return nil
 }
 
