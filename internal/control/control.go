@@ -326,9 +326,6 @@ func newSystem(c *chip.Chip, cfg Config, l2 func(*chip.Core, variation.Kind) Pro
 // Policy returns the speculation policy driving this system's decisions.
 func (s *System) Policy() policy.Policy { return s.pol }
 
-// PolicyName returns the driving policy's registered name.
-func (s *System) PolicyName() string { return s.pol.Name() }
-
 // Monitor returns the provisioned probing agent for a cache controller.
 func (s *System) Monitor(core int, kind variation.Kind) Prober {
 	return s.probers[monKey{core, kind}]
