@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"eccspec/internal/fleet"
+	"eccspec/internal/snapshot"
 	"eccspec/internal/store"
 )
 
@@ -100,7 +101,16 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	var ckpts, results, progress atomic.Int64
 	var assignMu sync.Mutex
 	assigned := make(map[uint64]string)
-	job.OnCheckpoint = func(seed uint64, ticks int, blob []byte) { ckpts.Add(1) }
+	job.OnCheckpoint = func(seed uint64, ticks int, blob []byte) {
+		ckpts.Add(1)
+		// Streamed blobs are whole: each restores with its full
+		// partial trace.
+		if st, err := snapshot.Unmarshal(blob); err != nil {
+			t.Errorf("seed %d checkpoint at tick %d: %v", seed, ticks, err)
+		} else if rec, err := st.Trace.RestoreTrace(); err != nil || rec == nil || rec.Len() != ticks/job.TraceEvery {
+			t.Errorf("seed %d checkpoint at tick %d does not restore its %d trace rows: %v", seed, ticks, ticks/job.TraceEvery, err)
+		}
+	}
 	job.OnResult = func(fleet.ChipResult) { results.Add(1) }
 	job.OnAssign = func(seed uint64, worker string) {
 		assignMu.Lock()

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"eccspec/internal/snapshot"
 )
 
 // TestParallelSerialDeterminism is the engine's core contract: a fleet
@@ -244,6 +246,12 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	ckpt := base
 	ckpt.CheckpointEvery = 25
 	ckpt.OnCheckpoint = func(seed uint64, ticks int, blob []byte) {
+		// Every blob is whole: it restores with the full partial trace.
+		if st, err := snapshot.Unmarshal(blob); err != nil {
+			t.Errorf("seed %d checkpoint at tick %d: %v", seed, ticks, err)
+		} else if rec, err := st.Trace.RestoreTrace(); err != nil || rec == nil || rec.Len() != ticks/base.TraceEvery {
+			t.Errorf("seed %d checkpoint at tick %d does not restore its %d trace rows: %v", seed, ticks, ticks/base.TraceEvery, err)
+		}
 		mu.Lock()
 		defer mu.Unlock()
 		if _, ok := blobs[seed]; !ok {
