@@ -8,7 +8,7 @@ package snapshot
 // Marshal/Unmarshal cycle bit-for-bit.
 //
 // A state that carries a trace is written as a traced blob instead: the
-// same header under TracedMagic, the state JSON without its trace, then
+// same header under tracedMagic, the state JSON without its trace, then
 // a trace section holding the rows as raw float64 bits.
 //
 //	section CRC32 u32 | from u32 | rows u32 | columns u32 |
@@ -35,8 +35,8 @@ import (
 // Magic identifies an eccspec snapshot blob.
 const Magic = "ECCSNAP\x00"
 
-// TracedMagic identifies a snapshot blob followed by a trace section.
-const TracedMagic = "ECCSNAPT"
+// tracedMagic identifies a snapshot blob followed by a trace section.
+const tracedMagic = "ECCSNAPT"
 
 const headerLen = len(Magic) + 4 + 4 + 4 // magic, version, payload len, CRC32
 
@@ -74,7 +74,7 @@ func Marshal(st *State) ([]byte, error) {
 	names := encodeColumns(ts.Columns)
 	width := 8 * (1 + len(ts.Columns))
 	out := make([]byte, 0, headerLen+len(payload)+sectionHeaderLen+len(names)+width*len(ts.Times))
-	out = appendHeader(out, TracedMagic, uint32(st.Version), payload)
+	out = appendHeader(out, tracedMagic, uint32(st.Version), payload)
 	out = append(out, payload...)
 	return appendSection(out, ts.From, len(ts.Times), len(ts.Columns), names, func(out []byte) []byte {
 		for i, t := range ts.Times {
@@ -95,7 +95,7 @@ func Unmarshal(blob []byte) (*State, error) {
 		payload []byte
 		trace   *TraceState
 	)
-	if bytes.HasPrefix(blob, []byte(TracedMagic)) {
+	if bytes.HasPrefix(blob, []byte(tracedMagic)) {
 		t, err := SplitTraced(blob)
 		if err != nil {
 			return nil, err
@@ -228,7 +228,7 @@ type Traced struct {
 // verifying the section's CRC but not the state's. A blob of another
 // kind, or a corrupt or truncated one, yields an error.
 func SplitTraced(blob []byte) (Traced, error) {
-	_, payload, sec, err := decodeHeader(blob, TracedMagic)
+	_, payload, sec, err := decodeHeader(blob, tracedMagic)
 	if err != nil {
 		return Traced{}, err
 	}
@@ -243,6 +243,9 @@ func SplitTraced(blob []byte) (Traced, error) {
 	cols := binary.LittleEndian.Uint32(sec[12:])
 	if cols == 0 || cols > maxTraceColumns {
 		return Traced{}, fmt.Errorf("snapshot: trace section has %d columns", cols)
+	}
+	if uint64(from)+uint64(n) > math.MaxUint32 {
+		return Traced{}, fmt.Errorf("snapshot: trace section holds rows [%d, %d)", from, uint64(from)+uint64(n))
 	}
 	off := sectionHeaderLen
 	for c := uint32(0); c < cols; c++ {
@@ -267,7 +270,7 @@ func SplitTraced(blob []byte) (Traced, error) {
 // whole trace when the blob's state was captured.
 func (t Traced) End() int { return t.From + t.N }
 
-func (t Traced) version() uint32 { return binary.LittleEndian.Uint32(t.blob[len(TracedMagic):]) }
+func (t Traced) version() uint32 { return binary.LittleEndian.Uint32(t.blob[len(tracedMagic):]) }
 
 // state returns the state JSON.
 func (t Traced) state() []byte { return t.blob[headerLen:t.section] }

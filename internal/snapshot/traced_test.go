@@ -39,7 +39,7 @@ func TestTracedBlobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(blob, []byte(TracedMagic)) || !bytes.Equal(blob[len(TracedMagic):len(plain)], plain[len(Magic):]) {
+	if !bytes.HasPrefix(blob, []byte(tracedMagic)) || !bytes.Equal(blob[len(tracedMagic):len(plain)], plain[len(Magic):]) {
 		t.Fatal("traced blob does not carry the untraced blob's header fields and state")
 	}
 	st, err := Unmarshal(blob)
