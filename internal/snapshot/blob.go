@@ -100,7 +100,7 @@ func Unmarshal(blob []byte) (*State, error) {
 		if err != nil {
 			return nil, err
 		}
-		version, payload, trace = t.version(), t.state(), t.Trace()
+		version, payload, trace = t.version(), t.state(), t.trace(t.End())
 	} else {
 		var err error
 		if version, payload, err = decodeEnvelope(blob); err != nil {
@@ -324,11 +324,6 @@ func (t Traced) Fold(delta Traced) ([]byte, error) {
 		return nil, fmt.Errorf("snapshot: delta's trace columns differ from the base's")
 	}
 	return delta.build(t.From, t.rowBytes(t.From, delta.From), delta.rowBytes(delta.From, delta.End())), nil
-}
-
-// Trace decodes the trace section.
-func (t Traced) Trace() *TraceState {
-	return t.trace(t.End())
 }
 
 // trace decodes the rows before trace index end.
