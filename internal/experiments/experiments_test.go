@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -76,14 +77,30 @@ func TestOptionsScale(t *testing.T) {
 // fastOpts are the smoke-test options shared below.
 var fastOpts = Options{Seed: 1, Fast: true}
 
-// runFor runs an experiment in fast mode and fails the test on error.
+// fastRun is one memoized fast-mode run of an experiment.
+type fastRun struct {
+	once sync.Once
+	res  *Result
+	err  error
+}
+
+// fastRuns maps an experiment id to its *fastRun. The shape tests and the
+// golden test read the same results, so each experiment runs once per
+// test binary; the golden subtests run in parallel, hence the Once.
+var fastRuns sync.Map
+
+// runFor returns the experiment's fast-mode result, running it on first
+// use, and fails the test on error or a malformed result.
 func runFor(t *testing.T, id string) *Result {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("unknown experiment %s", id)
 	}
-	res, err := e.Run(fastOpts)
+	v, _ := fastRuns.LoadOrStore(id, new(fastRun))
+	r := v.(*fastRun)
+	r.once.Do(func() { r.res, r.err = e.Run(fastOpts) })
+	res, err := r.res, r.err
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
