@@ -42,7 +42,7 @@ func calibrateCmd(args []string, w io.Writer) error {
 			co.InvalidateSensitivity()
 		}
 	}
-	ctl := control.New(c, control.DefaultConfig())
+	ctl := control.New(c, control.DefaultConfig(), nil)
 	assigns, err := ctl.Calibrate()
 	if err != nil {
 		return err

@@ -91,10 +91,10 @@ type Simulator struct {
 	ctl  *control.System
 }
 
-// NewSimulator builds a chip and its control system, assigns the
-// configured workload to every core and characterizes the specimen
-// (chip.Chip.Characterize), so neither Calibrate nor the first Step
-// pays for it. The rails start at nominal; call Calibrate and then Run
+// NewSimulator builds an uncalibrated closed-loop cell (engine.NewCell)
+// running the configured workload on every core: the chip is
+// characterized at build (chip.Chip.Characterize), so neither Calibrate
+// nor the first Step pays for it. The rails start at nominal; call Calibrate and then Run
 // to engage speculation. An unrecognized Options.Workload returns an
 // error wrapping ErrUnknownWorkload.
 func NewSimulator(o Options) (*Simulator, error) {
@@ -113,18 +113,14 @@ func NewSimulator(o Options) (*Simulator, error) {
 		return nil, fmt.Errorf("%w %q (valid: %s)", ErrUnknownPolicy, polName,
 			strings.Join(policy.Names(), ", "))
 	}
-	c := chip.New(chip.DefaultParams(o.Seed, !o.HighVoltagePoint, o.FullGeometry))
-	for _, co := range c.Cores {
-		co.SetWorkload(p, o.Seed)
-	}
-	c.Characterize()
+	c, ctl, _ := engine.NewCell(engine.CellSpec{ // uncalibrated: cannot fail
+		Params:    chip.DefaultParams(o.Seed, !o.HighVoltagePoint, o.FullGeometry),
+		Workloads: []workload.Profile{p},
+		Policy:    pol,
+	})
 	o.Workload = name  // record the resolved names for Opts/checkpoints
 	o.Policy = polName //
-	return &Simulator{
-		opts: o,
-		chip: c,
-		ctl:  control.NewWithPolicy(c, control.DefaultConfig(), pol),
-	}, nil
+	return &Simulator{opts: o, chip: c, ctl: ctl}, nil
 }
 
 // Opts returns the options the simulator was built from, with the

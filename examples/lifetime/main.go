@@ -51,11 +51,8 @@ func main() {
 	flag.Parse()
 
 	const seed = 11
-	c := chip.New(chip.DefaultParams(seed, true, false))
-	for _, co := range c.Cores {
-		co.SetWorkload(workload.SPECjbb()[0], seed)
-	}
-	ctl := control.New(c, control.DefaultConfig())
+	c, ctl, _ := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(seed, true, false),
+		Workloads: workload.SPECjbb()[:1]})
 
 	start := 0
 	var prev control.Assignment

@@ -17,18 +17,15 @@ import (
 	"strings"
 
 	"eccspec/internal/chip"
-	"eccspec/internal/control"
+	"eccspec/internal/engine"
 	"eccspec/internal/workload"
 )
 
 func main() {
 	const seed = 7
-	c := chip.New(chip.DefaultParams(seed, true, false))
-	for _, co := range c.Cores {
-		co.SetWorkload(workload.Idle(), seed)
-	}
-	ctl := control.New(c, control.DefaultConfig())
-	if _, err := ctl.Calibrate(); err != nil {
+	c, ctl, err := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(seed, true, false),
+		Workloads: []workload.Profile{workload.Idle()}, Calibrate: true})
+	if err != nil {
 		log.Fatal(err)
 	}
 	a, _ := ctl.Assignment(0)

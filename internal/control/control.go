@@ -265,11 +265,16 @@ func (s *System) rail(id int) *rail {
 
 // New provisions the control system on a chip: a hardware ECC monitor on
 // every L2 instruction and data cache controller and on the L3, all
-// initially inactive.
-func New(c *chip.Chip, cfg Config) *System {
-	return newSystem(c, cfg, func(co *chip.Core, kind variation.Kind) Prober {
+// initially inactive. pol decides each completed decision window; nil
+// keeps the paper's floor/ceiling ladder built from cfg's band.
+func New(c *chip.Chip, cfg Config, pol policy.Policy) *System {
+	s := newSystem(c, cfg, func(co *chip.Core, kind variation.Kind) Prober {
 		return monitor.New(co.CacheOf(kind), monitor.Config{})
 	})
+	if pol != nil {
+		s.pol = pol
+	}
+	return s
 }
 
 // NewFirmwareApproximation provisions the control system with firmware
@@ -282,17 +287,6 @@ func NewFirmwareApproximation(c *chip.Chip, cfg Config) *System {
 	return newSystem(c, cfg, func(co *chip.Core, kind variation.Kind) Prober {
 		return monitor.NewFirmwareSelfTest(co.Hier, kind == variation.KindL2D, monitor.Config{})
 	})
-}
-
-// NewWithPolicy provisions the control system like New but drives the
-// given speculation policy instead of the default paper ladder. A nil
-// policy falls back to the default.
-func NewWithPolicy(c *chip.Chip, cfg Config, pol policy.Policy) *System {
-	s := New(c, cfg)
-	if pol != nil {
-		s.pol = pol
-	}
-	return s
 }
 
 // newSystem builds the uncore's and every domain's rail record; l2

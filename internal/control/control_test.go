@@ -20,7 +20,7 @@ func testSystem(seed uint64) (*chip.Chip, *System) {
 	for _, co := range c.Cores {
 		co.SetWorkload(workload.Idle(), seed)
 	}
-	return c, New(c, DefaultConfig())
+	return c, New(c, DefaultConfig(), nil)
 }
 
 func TestMonitorsProvisionedEverywhere(t *testing.T) {

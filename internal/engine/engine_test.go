@@ -7,6 +7,8 @@ import (
 
 	"eccspec/internal/chip"
 	"eccspec/internal/control"
+	"eccspec/internal/policy"
+	"eccspec/internal/workload"
 )
 
 // fakeSim counts steps and optionally reports death on a given step.
@@ -255,5 +257,39 @@ func TestTicksDrivesChipAndStopsEarly(t *testing.T) {
 	}
 	if c.Ticks() != 14 {
 		t.Fatalf("chip tick counter = %d, want 14", c.Ticks())
+	}
+}
+
+func TestNewCellBuildsTheBootSequence(t *testing.T) {
+	suite := workload.SPECint()[:3]
+	c, ctl, err := NewCell(CellSpec{Params: chip.DefaultParams(5, true, false),
+		Workloads: suite, Policy: policy.NewGuardband()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, co := range c.Cores {
+		if got, want := co.Workload().P.Name, suite[i%len(suite)].Name; got != want {
+			t.Errorf("core %d runs %s, want %s (round-robin)", i, got, want)
+		}
+	}
+	if ctl.Policy().Name() != "guardband" {
+		t.Errorf("policy %s, want guardband", ctl.Policy().Name())
+	}
+	if _, ok := ctl.Assignment(0); ok {
+		t.Error("an uncalibrated cell has a monitored line")
+	}
+
+	_, ctl, err = NewCell(CellSpec{Params: chip.DefaultParams(5, true, false),
+		Workloads: suite, Calibrate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctl.Policy().Name() != "paper" {
+		t.Errorf("nil policy built %s, want the paper ladder", ctl.Policy().Name())
+	}
+	for _, d := range c.Domains {
+		if _, ok := ctl.Assignment(d.ID); !ok {
+			t.Errorf("calibrated cell left domain %d unmonitored", d.ID)
+		}
 	}
 }

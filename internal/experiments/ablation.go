@@ -60,7 +60,7 @@ func runAblationConfig(o Options, cp chip.Params, cc control.Config) (ablationOu
 	for _, co := range c.Cores {
 		co.SetWorkload(workload.StressTest(), o.Seed)
 	}
-	ctl := control.New(c, cc)
+	ctl := control.New(c, cc, nil)
 	if _, err := ctl.Calibrate(); err != nil {
 		return ablationOutcome{}, err
 	}

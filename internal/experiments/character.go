@@ -71,8 +71,8 @@ func SweepCore(c *chip.Chip, coreID int, ticksPerLevel int, seed uint64) CoreSwe
 
 // sweepAllCores characterizes every core of a chip.
 func sweepAllCores(o Options, low bool, ticksPerLevel int) (*chip.Chip, []CoreSweep) {
-	c := newChip(o, low)
-	parkAll(c, o.Seed)
+	c, _, _ := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, low, o.Full),
+		Workloads: idleCores})
 	sweeps := make([]CoreSweep, len(c.Cores))
 	for i := range c.Cores {
 		sweeps[i] = SweepCore(c, i, ticksPerLevel, o.Seed)
@@ -207,10 +207,8 @@ func runFig2(o Options) (*Result, error) {
 // fig3Sweep measures average correctable errors per (simulated) 5-minute
 // interval as every rail is lowered together.
 func fig3Sweep(o Options, low bool, maxOffset float64) ([]float64, []float64) {
-	c := newChip(o, low)
-	for _, co := range c.Cores {
-		co.SetWorkload(workload.StressTest(), o.Seed)
-	}
+	c, _, _ := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, low, o.Full),
+		Workloads: []workload.Profile{workload.StressTest()}})
 	ticksPerLevel := o.scale(400, 50)
 	scaleTo5Min := 300.0 / (float64(ticksPerLevel) * c.P.TickSeconds)
 	nominal := c.P.Point.NominalVdd

@@ -8,6 +8,7 @@ import (
 	"eccspec/internal/control"
 	"eccspec/internal/engine"
 	"eccspec/internal/firmware"
+	"eccspec/internal/workload"
 )
 
 func init() {
@@ -42,17 +43,13 @@ func runCompare(o Options) (*Result, error) {
 	measure := o.scale(1800, 250)
 
 	run := func(name string, params chip.Params,
-		adapt func(c *chip.Chip) func(chip.TickReport)) (compareOutcome, error) {
-		c := chip.New(params)
-		assignSuite(c, "SPECint", o.Seed)
-		step := adapt(c)
-		engine.Ticks(c, nil, converge, func(_ int, rep chip.TickReport, _ []control.Action) bool {
+		adapt func(c *chip.Chip, ctl *control.System) func(chip.TickReport)) (compareOutcome, error) {
+		c, ctl, _ := engine.NewCell(engine.CellSpec{Params: params, Workloads: workload.Suites()["SPECint"]})
+		step := adapt(c, ctl)
+		settle(c, nil, converge, func(_ int, rep chip.TickReport, _ []control.Action) bool {
 			step(rep)
 			return true
 		})
-		for _, co := range c.Cores {
-			co.ResetAccounting()
-		}
 		sumV := 0.0
 		engine.Ticks(c, nil, measure, func(_ int, rep chip.TickReport, _ []control.Action) bool {
 			step(rep)
@@ -64,13 +61,9 @@ func runCompare(o Options) (*Result, error) {
 		out := compareOutcome{name: name}
 		out.avgV = sumV / float64(measure*len(c.Domains))
 		out.reduction = 1 - out.avgV/c.P.Point.NominalVdd
-		var e, w float64
-		for i, co := range c.Cores {
-			if !co.Alive() {
-				return out, fmt.Errorf("experiments: core %d died under %s", i, name)
-			}
-			e += co.Energy()
-			w += co.Work()
+		e, w, err := coreTotals(c)
+		if err != nil {
+			return out, fmt.Errorf("experiments: %w under %s", err, name)
 		}
 		out.epw = e / w
 		out.work = w
@@ -81,7 +74,7 @@ func runCompare(o Options) (*Result, error) {
 	var outs []compareOutcome
 
 	// 1. No speculation: rails stay at nominal.
-	o1, err := run("none", base, func(c *chip.Chip) func(chip.TickReport) {
+	o1, err := run("none", base, func(*chip.Chip, *control.System) func(chip.TickReport) {
 		return func(chip.TickReport) {}
 	})
 	if err != nil {
@@ -91,7 +84,7 @@ func runCompare(o Options) (*Result, error) {
 
 	// 2. Critical path monitors: logic margin sensing + static cache
 	// guardband.
-	o2, err := run("cpm", base, func(c *chip.Chip) func(chip.TickReport) {
+	o2, err := run("cpm", base, func(c *chip.Chip, _ *control.System) func(chip.TickReport) {
 		cfg := alt.DefaultCPMConfig()
 		cfg.DecisionTicks = o.scale(cfg.DecisionTicks, 4)
 		m := alt.NewCPM(c, cfg)
@@ -103,8 +96,7 @@ func runCompare(o Options) (*Result, error) {
 	outs = append(outs, o2)
 
 	// 3. Firmware ECC baseline [4] with off-line calibrated floors.
-	o3, err := run("ecc-firmware", base, func(c *chip.Chip) func(chip.TickReport) {
-		ctl := control.New(c, control.DefaultConfig())
+	o3, err := run("ecc-firmware", base, func(c *chip.Chip, ctl *control.System) func(chip.TickReport) {
 		// Fast mode accelerates the (slow) firmware policy clock along
 		// with the shortened run.
 		fwCfg := firmware.DefaultConfig()
@@ -124,8 +116,7 @@ func runCompare(o Options) (*Result, error) {
 	outs = append(outs, o3)
 
 	// 4. The paper's hardware ECC monitors.
-	o4, err := run("ecc-hardware", base, func(c *chip.Chip) func(chip.TickReport) {
-		ctl := control.New(c, control.DefaultConfig())
+	o4, err := run("ecc-hardware", base, func(_ *chip.Chip, ctl *control.System) func(chip.TickReport) {
 		if _, err := ctl.Calibrate(); err != nil {
 			panic(err)
 		}
@@ -141,7 +132,7 @@ func runCompare(o Options) (*Result, error) {
 	razorCfg.DecisionTicks = o.scale(razorCfg.DecisionTicks, 4)
 	razorParams := base
 	razorParams.RazorWindowV = razorCfg.WindowV
-	o5, err := run("razor", razorParams, func(c *chip.Chip) func(chip.TickReport) {
+	o5, err := run("razor", razorParams, func(c *chip.Chip, _ *control.System) func(chip.TickReport) {
 		rz := alt.NewRazor(c, razorCfg)
 		return rz.Adapt
 	})

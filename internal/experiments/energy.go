@@ -31,8 +31,8 @@ func init() {
 // Off-line calibration (the onset sweep) sets each domain's safe floor
 // before the workloads start, as in [4].
 func runSuiteSW(o Options, suite string) (energyPerWork float64, err error) {
-	c := newChip(o, true)
-	ctl := control.New(c, control.DefaultConfig())
+	c, ctl, _ := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+		Workloads: workload.Suites()[suite]})
 	fw := firmware.New(c, firmware.DefaultConfig())
 	for _, d := range c.Domains {
 		a, err := ctl.FindOnset(d)
@@ -41,25 +41,17 @@ func runSuiteSW(o Options, suite string) (energyPerWork float64, err error) {
 		}
 		fw.SetFloor(d.ID, a.OnsetV)
 	}
-	assignSuite(c, suite, o.Seed)
 	converge := o.scale(1500, 200)
 	measure := o.scale(2500, 300)
 	adapt := func(_ int, rep chip.TickReport, _ []control.Action) bool {
 		fw.Adapt(rep)
 		return true
 	}
-	engine.Ticks(c, nil, converge, adapt)
-	for _, co := range c.Cores {
-		co.ResetAccounting()
-	}
+	settle(c, nil, converge, adapt)
 	engine.Ticks(c, nil, measure, adapt)
-	var e, w float64
-	for i, co := range c.Cores {
-		if !co.Alive() {
-			return 0, fmt.Errorf("experiments: core %d crashed under %s software speculation", i, suite)
-		}
-		e += co.Energy()
-		w += co.Work()
+	e, w, err := coreTotals(c)
+	if err != nil {
+		return 0, fmt.Errorf("experiments: %s software speculation: %w", suite, err)
 	}
 	return e / w, nil
 }
@@ -105,8 +97,8 @@ func runFig17(o Options) (*Result, error) {
 func runFig18(o Options) (*Result, error) {
 	measure := o.scale(600, 80)
 	run := func(software bool) (*trace.Recorder, []float64, []float64, error) {
-		c := newChip(o, true)
-		parkAll(c, o.Seed)
+		c, _, _ := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+			Workloads: idleCores})
 		c.Cores[0].SetWorkload(workload.StressTest(), o.Seed)
 		var fw *firmware.System
 		if software {

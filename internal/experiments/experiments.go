@@ -2,10 +2,14 @@
 // figure in the paper's evaluation, plus the auxiliary characterization
 // experiments from §III and §V.
 //
-// Each experiment builds its own chip(s) from a seed, runs the relevant
-// protocol, and returns a Result holding a rendered text table, optional
-// time series, a one-line headline, and a map of named metrics that
-// tests and EXPERIMENTS.md assert against. Experiments are registered in
+// Experiments build their chips and control systems through
+// engine.NewCell, the paper's boot-time sequence written once; only a
+// variant no other caller needs (the firmware self-test agents, the
+// ablations' control configurations, the blade's chips) is assembled at
+// its own site. Each experiment runs its protocol on the cells it builds
+// from a seed and returns a Result holding a rendered text table,
+// optional time series, a one-line headline, and a map of named metrics
+// that tests and EXPERIMENTS.md assert against. Experiments are registered in
 // All() and addressable by id (e.g. "fig10") from the eccspec CLI and
 // the benchmark harness.
 //
@@ -21,6 +25,8 @@ import (
 	"strings"
 
 	"eccspec/internal/chip"
+	"eccspec/internal/control"
+	"eccspec/internal/engine"
 	"eccspec/internal/trace"
 	"eccspec/internal/workload"
 )
@@ -224,27 +230,35 @@ func (t *TextTable) Render(w io.Writer) error {
 
 // --- shared chip-building helpers --------------------------------------
 
-// newChip builds a chip at the requested operating point and geometry.
+// newChip builds a bare chip, with no workloads, at the requested
+// operating point and geometry.
 func newChip(o Options, low bool) *chip.Chip {
 	return chip.New(chip.DefaultParams(o.Seed, low, o.Full))
 }
 
-// assignSuite puts a suite's benchmarks on the chip's cores. CoreMark and
-// SPECjbb run a full instance per core; SPEC CPU benchmarks are assigned
-// round-robin, matching the paper's per-core runs.
-func assignSuite(c *chip.Chip, suite string, seed uint64) {
-	ps := workload.Suites()[suite]
-	if len(ps) == 0 {
-		panic("experiments: unknown suite " + suite)
-	}
-	for i, co := range c.Cores {
-		co.SetWorkload(ps[i%len(ps)], seed)
+// idleCores parks every core of a cell on the firmware idle spin loop.
+var idleCores = []workload.Profile{workload.Idle()}
+
+// settle runs a cell's converge window of n ticks (fn, when non-nil,
+// sees each), then restarts every core's energy and work accounting so
+// the measurement window that follows is counted alone.
+func settle(c *chip.Chip, ctl *control.System, n int, fn engine.TickFunc) {
+	engine.Ticks(c, ctl, n, fn)
+	for _, co := range c.Cores {
+		co.ResetAccounting()
 	}
 }
 
-// parkAll assigns the firmware idle spin loop to every core.
-func parkAll(c *chip.Chip, seed uint64) {
-	for _, co := range c.Cores {
-		co.SetWorkload(workload.Idle(), seed)
+// coreTotals sums every core's energy and work, in core order, at the
+// end of a measurement window. err names the first core that died; the
+// sums cover every core either way.
+func coreTotals(c *chip.Chip) (energy, work float64, err error) {
+	for i, co := range c.Cores {
+		if !co.Alive() && err == nil {
+			err = fmt.Errorf("core %d died", i)
+		}
+		energy += co.Energy()
+		work += co.Work()
 	}
+	return energy, work, err
 }

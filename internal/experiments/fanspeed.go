@@ -39,7 +39,7 @@ func runFanSpeed(o Options) (*Result, error) {
 		for _, co := range c.Cores {
 			co.SetWorkload(workload.SPECjbb()[0], o.Seed)
 		}
-		ctl := control.New(c, control.DefaultConfig())
+		ctl := control.New(c, control.DefaultConfig(), nil)
 		if _, err := ctl.Calibrate(); err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"eccspec/internal/chip"
 	"eccspec/internal/control"
 	"eccspec/internal/engine"
+	"eccspec/internal/workload"
 )
 
 func init() {
@@ -35,16 +36,12 @@ func runFreqScale(o Options) (*Result, error) {
 	var reductions []float64
 	for _, f := range freqs {
 		params := chip.DefaultParamsAt(o.Seed, f, o.Full)
-		c := chip.New(params)
-		assignSuite(c, "SPECint", o.Seed)
-		ctl := control.New(c, control.DefaultConfig())
-		if _, err := ctl.Calibrate(); err != nil {
+		spec := engine.CellSpec{Params: params, Workloads: workload.Suites()["SPECint"], Calibrate: true}
+		c, ctl, err := engine.NewCell(spec)
+		if err != nil {
 			return nil, fmt.Errorf("%.0f MHz: %w", f/1e6, err)
 		}
-		engine.Ticks(c, ctl, converge, nil)
-		for _, co := range c.Cores {
-			co.ResetAccounting()
-		}
+		settle(c, ctl, converge, nil)
 		sumV := 0.0
 		engine.Ticks(c, ctl, measure, func(_ int, _ chip.TickReport, _ []control.Action) bool {
 			for _, d := range c.Domains {
@@ -57,14 +54,14 @@ func runFreqScale(o Options) (*Result, error) {
 		reduction := 1 - avgV/nominal
 
 		// Power relative to the same chip at its own nominal.
-		b := chip.New(params)
-		assignSuite(b, "SPECint", o.Seed)
+		spec.Calibrate = false
+		b, _, _ := engine.NewCell(spec)
 		engine.Ticks(b, nil, measure, nil)
+		if _, _, err := coreTotals(c); err != nil {
+			return nil, fmt.Errorf("%.0f MHz: %w", f/1e6, err)
+		}
 		var pSpec, pBase float64
 		for i, co := range c.Cores {
-			if !co.Alive() {
-				return nil, fmt.Errorf("%.0f MHz: core %d died", f/1e6, i)
-			}
 			pSpec += co.AveragePower()
 			pBase += b.Cores[i].AveragePower()
 		}

@@ -7,6 +7,7 @@ import (
 	"eccspec/internal/chip"
 	"eccspec/internal/control"
 	"eccspec/internal/engine"
+	"eccspec/internal/workload"
 )
 
 func init() {
@@ -33,23 +34,19 @@ func runMethodology(o Options) (*Result, error) {
 		epw     float64
 	}
 	run := func(firmwareProbe bool) (outcome, error) {
-		c := newChip(o, true)
-		assignSuite(c, "SPECint", o.Seed)
-		var ctl *control.System
-		if firmwareProbe {
+		c, ctl, err := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+			Workloads: workload.Suites()["SPECint"], Calibrate: !firmwareProbe})
+		if firmwareProbe && err == nil {
+			// The firmware self-test agents are this experiment's alone.
 			ctl = control.NewFirmwareApproximation(c, control.DefaultConfig())
-		} else {
-			ctl = control.New(c, control.DefaultConfig())
+			_, err = ctl.Calibrate()
 		}
-		if _, err := ctl.Calibrate(); err != nil {
+		if err != nil {
 			return outcome{}, err
 		}
 		converge := o.scale(1500, 200)
 		measure := o.scale(1500, 200)
-		engine.Ticks(c, ctl, converge, nil)
-		for _, co := range c.Cores {
-			co.ResetAccounting()
-		}
+		settle(c, ctl, converge, nil)
 		sums := make([]float64, len(c.Domains))
 		engine.Ticks(c, ctl, measure, func(_ int, _ chip.TickReport, _ []control.Action) bool {
 			for d := range c.Domains {
@@ -58,16 +55,12 @@ func runMethodology(o Options) (*Result, error) {
 			return true
 		})
 		var out outcome
-		var e, w float64
 		for d := range sums {
 			out.targets = append(out.targets, sums[d]/float64(measure))
 		}
-		for i, co := range c.Cores {
-			if !co.Alive() {
-				return outcome{}, fmt.Errorf("experiments: core %d died (firmware=%v)", i, firmwareProbe)
-			}
-			e += co.Energy()
-			w += co.Work()
+		e, w, err := coreTotals(c)
+		if err != nil {
+			return outcome{}, fmt.Errorf("experiments: %w (firmware=%v)", err, firmwareProbe)
 		}
 		out.epw = e / w
 		return out, nil

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"eccspec/internal/control"
+	"eccspec/internal/chip"
+	"eccspec/internal/engine"
 	"eccspec/internal/sram"
 )
 
@@ -99,9 +100,8 @@ func runRetention(o Options) (*Result, error) {
 // and reports whether the monitored line moved — the §III-D scenario
 // that motivates periodic recalibration.
 func runAging(o Options) (*Result, error) {
-	c := newChip(o, true)
-	parkAll(c, o.Seed)
-	ctl := control.New(c, control.DefaultConfig())
+	c, ctl, _ := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+		Workloads: idleCores})
 	before, err := ctl.CalibrateDomain(c.Domains[0])
 	if err != nil {
 		return nil, err

@@ -38,20 +38,19 @@ func init() {
 // square-wave load.
 func runFig14(o Options) (*Result, error) {
 	runCase := func(mainFP bool) (*trace.Recorder, []float64, []float64, []float64, error) {
-		c := newChip(o, true)
+		p := chip.DefaultParams(o.Seed, true, o.Full)
 		// A coarser tick keeps the two-minute trace tractable; the
 		// stress kernel's 30-second phases are far slower than either.
-		c.P.TickSeconds = 10e-3
-		parkAll(c, o.Seed)
+		p.TickSeconds = 10e-3
+		c, ctl, err := engine.NewCell(engine.CellSpec{Params: p, Workloads: idleCores, Calibrate: true})
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
 		if mainFP {
 			fp := workload.SPECfp()
 			c.Cores[0].SetWorkload(fp[0], o.Seed)
 		}
 		c.Cores[1].SetWorkload(workload.StressKernel(), o.Seed)
-		ctl := control.New(c, control.DefaultConfig())
-		if _, err := ctl.Calibrate(); err != nil {
-			return nil, nil, nil, nil, err
-		}
 		converge := o.scale(1200, 200)
 		engine.Ticks(c, ctl, converge, nil)
 		ticks := o.scale(12000, 1200) // 120 simulated seconds
@@ -126,31 +125,24 @@ func runFig14(o Options) (*Result, error) {
 // fig15Setup calibrates a chip and parks the main domain at a probing
 // voltage with a small margin above the monitored line's onset, where
 // the error rate is near zero without extra droop.
-func fig15Setup(o Options) (*chipWithControl, error) {
-	c := newChip(o, true)
-	parkAll(c, o.Seed)
-	ctl := control.New(c, control.DefaultConfig())
-	if _, err := ctl.Calibrate(); err != nil {
-		return nil, err
+func fig15Setup(o Options) (*chip.Chip, *control.System, error) {
+	c, ctl, err := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+		Workloads: idleCores, Calibrate: true})
+	if err != nil {
+		return nil, nil, err
 	}
 	a, _ := ctl.Assignment(0)
 	// Position the rail so the quiescent effective voltage sits just
 	// above the monitored line's onset.
 	c.Domains[0].Rail.SetTarget(a.OnsetV + 0.015)
-	return &chipWithControl{c: c, ctl: ctl}, nil
-}
-
-type chipWithControl struct {
-	c   *chip.Chip
-	ctl *control.System
+	return c, ctl, nil
 }
 
 func runFig15(o Options) (*Result, error) {
-	s, err := fig15Setup(o)
+	c, ctl, err := fig15Setup(o)
 	if err != nil {
 		return nil, err
 	}
-	c, ctl := s.c, s.ctl
 	mon := ctl.ActiveMonitor(0)
 	clock := c.P.Point.FrequencyHz
 	accesses := o.scale(500, 100)
@@ -197,11 +189,10 @@ func runFig15(o Options) (*Result, error) {
 }
 
 func runFig16(o Options) (*Result, error) {
-	s, err := fig15Setup(o)
+	c, ctl, err := fig15Setup(o)
 	if err != nil {
 		return nil, err
 	}
-	c, ctl := s.c, s.ctl
 	mon := ctl.ActiveMonitor(0)
 	clock := c.P.Point.FrequencyHz
 	accesses := o.scale(500, 100)

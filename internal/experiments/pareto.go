@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"eccspec/internal/chip"
-	"eccspec/internal/control"
 	"eccspec/internal/engine"
+	"eccspec/internal/workload"
 )
 
 func init() {
@@ -40,29 +40,20 @@ func runPareto(o Options) (*Result, error) {
 	for _, f := range freqs {
 		params := chip.DefaultParamsAt(o.Seed, f, o.Full)
 		measureRun := func(speculate bool) (epw, work float64, err error) {
-			c := chip.New(params)
-			assignSuite(c, "SPECint", o.Seed)
-			var ctl *control.System
-			if speculate {
-				ctl = control.New(c, control.DefaultConfig())
-				if _, err := ctl.Calibrate(); err != nil {
-					return 0, 0, err
-				}
-				engine.Ticks(c, ctl, converge, nil)
+			c, ctl, err := engine.NewCell(engine.CellSpec{Params: params,
+				Workloads: workload.Suites()["SPECint"], Calibrate: speculate})
+			if err != nil {
+				return 0, 0, err
 			}
-			for _, co := range c.Cores {
-				co.ResetAccounting()
+			window := converge
+			if !speculate {
+				ctl, window = nil, 0 // the baseline runs without a controller
 			}
-			// ctl is nil in the baseline run, which Ticks treats as
-			// "no controller".
+			settle(c, ctl, window, nil)
 			engine.Ticks(c, ctl, measure, nil)
-			var e float64
-			for i, co := range c.Cores {
-				if !co.Alive() {
-					return 0, 0, fmt.Errorf("core %d died at %.0f MHz (spec=%v)", i, f/1e6, speculate)
-				}
-				e += co.Energy()
-				work += co.Work()
+			e, work, err := coreTotals(c)
+			if err != nil {
+				return 0, 0, fmt.Errorf("%w at %.0f MHz (spec=%v)", err, f/1e6, speculate)
 			}
 			return e / work, work, nil
 		}

@@ -10,9 +10,8 @@ package experiments
 // no-speculation baseline measured on the same silicon under the same
 // load.
 //
-// The harness builds chips and control systems directly (like the
-// related-work "compare" experiment) rather than through the public
-// Simulator, because this package is imported by it.
+// The harness builds its cells with engine.NewCell, the constructor
+// behind the public Simulator, which imports this package.
 
 import (
 	"context"
@@ -162,19 +161,13 @@ func runPolicyCell(seed uint64, full bool, polName, wlName string, converge, mea
 		return out
 	}
 	wl, _ := workload.ByName(wlName)
-	c := chip.New(chip.DefaultParams(seed, true, full))
-	for _, co := range c.Cores {
-		co.SetWorkload(wl, seed)
-	}
-	ctl := control.NewWithPolicy(c, control.DefaultConfig(), pol)
-	if _, err := ctl.Calibrate(); err != nil {
+	c, ctl, err := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(seed, true, full),
+		Workloads: []workload.Profile{wl}, Policy: pol, Calibrate: true})
+	if err != nil {
 		out.Err = fmt.Sprintf("calibrate: %v", err)
 		return out
 	}
-	engine.Ticks(c, ctl, converge, nil)
-	for _, co := range c.Cores {
-		co.ResetAccounting()
-	}
+	settle(c, ctl, converge, nil)
 	dueBase := sumUncorrectable(c)
 
 	sumV := 0.0
@@ -191,14 +184,8 @@ func runPolicyCell(seed uint64, full bool, polName, wlName string, converge, mea
 	out.DUEPerSecond = float64(out.DUE) / (float64(ran) * c.P.TickSeconds)
 	out.Emergencies = ctl.Emergencies()
 	out.FailSafe = ctl.FailSafeDomains()
-	var e, w float64
-	for _, co := range c.Cores {
-		if !co.Alive() {
-			out.CoreDied = true
-		}
-		e += co.Energy()
-		w += co.Work()
-	}
+	e, w, err := coreTotals(c)
+	out.CoreDied = err != nil
 	if w > 0 {
 		out.EnergyPerWork = e / w
 	}

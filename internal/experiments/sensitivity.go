@@ -3,7 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"eccspec/internal/control"
+	"eccspec/internal/chip"
+	"eccspec/internal/engine"
 	"eccspec/internal/stats"
 	"eccspec/internal/trace"
 )
@@ -22,10 +23,9 @@ func init() {
 // designated weak line while lowering the probe voltage, and measure the
 // per-access single-bit error probability curve.
 func runFig13(o Options) (*Result, error) {
-	c := newChip(o, true)
-	parkAll(c, o.Seed)
-	ctl := control.New(c, control.DefaultConfig())
-	if _, err := ctl.Calibrate(); err != nil {
+	c, ctl, err := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+		Workloads: idleCores, Calibrate: true})
+	if err != nil {
 		return nil, err
 	}
 

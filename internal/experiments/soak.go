@@ -38,10 +38,9 @@ func runSoak(o Options) (*Result, error) {
 	var coreSeconds float64
 	for i := 0; i < numChips; i++ {
 		seed := o.Seed + uint64(i)*101
-		c := chip.New(chip.DefaultParams(seed, true, o.Full))
-		ctl := control.New(c, control.DefaultConfig())
-		parkAll(c, seed)
-		if _, err := ctl.Calibrate(); err != nil {
+		c, ctl, err := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(seed, true, o.Full),
+			Workloads: idleCores, Calibrate: true})
+		if err != nil {
 			return nil, fmt.Errorf("chip %d: %w", i, err)
 		}
 

@@ -63,18 +63,15 @@ func runSuiteHW(o Options, suite string) (suiteRun, error) {
 		return r, nil
 	}
 	// Speculated run.
-	c := newChip(o, true)
-	assignSuite(c, suite, o.Seed)
-	ctl := control.New(c, control.DefaultConfig())
-	if _, err := ctl.Calibrate(); err != nil {
+	spec := engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+		Workloads: workload.Suites()[suite], Calibrate: true}
+	c, ctl, err := engine.NewCell(spec)
+	if err != nil {
 		return suiteRun{}, err
 	}
 	converge := o.scale(1500, 200)
 	measure := o.scale(2500, 300)
-	engine.Ticks(c, ctl, converge, nil)
-	for _, co := range c.Cores {
-		co.ResetAccounting()
-	}
+	settle(c, ctl, converge, nil)
 	sumV := make([]float64, len(c.Cores))
 	engine.Ticks(c, ctl, measure, func(_ int, _ chip.TickReport, _ []control.Action) bool {
 		for i := range c.Cores {
@@ -82,29 +79,25 @@ func runSuiteHW(o Options, suite string) (suiteRun, error) {
 		}
 		return true
 	})
+	eSpec, wSpec, err := coreTotals(c)
+	if err != nil {
+		return suiteRun{}, fmt.Errorf("experiments: %s speculation: %w", suite, err)
+	}
 	run := suiteRun{Suite: suite, CoreV: make([]float64, len(c.Cores))}
-	var eSpec, wSpec float64
 	for i, co := range c.Cores {
-		if !co.Alive() {
-			return suiteRun{}, fmt.Errorf("experiments: core %d crashed under %s speculation", i, suite)
-		}
 		run.CoreV[i] = sumV[i] / float64(measure)
 		run.PowerSpec += co.AveragePower()
-		eSpec += co.Energy()
-		wSpec += co.Work()
 	}
 	run.EnergyPerWorkSpec = eSpec / wSpec
 
 	// Baseline run: identical chip and workloads at nominal voltage.
-	b := newChip(o, true)
-	assignSuite(b, suite, o.Seed)
+	spec.Calibrate = false
+	b, _, _ := engine.NewCell(spec)
 	engine.Ticks(b, nil, measure, nil)
-	var eBase, wBase float64
 	for _, co := range b.Cores {
 		run.PowerBase += co.AveragePower()
-		eBase += co.Energy()
-		wBase += co.Work()
 	}
+	eBase, wBase, _ := coreTotals(b)
 	run.EnergyPerWorkBase = eBase / wBase
 	suiteCache[suiteKey(o, suite)] = run
 	return run, nil
@@ -184,15 +177,14 @@ func runFig11(o Options) (*Result, error) {
 }
 
 func runFig12(o Options) (*Result, error) {
-	c := newChip(o, true)
-	parkAll(c, o.Seed)
+	c, ctl, err := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+		Workloads: idleCores, Calibrate: true})
+	if err != nil {
+		return nil, err
+	}
 	mcf, _ := workload.ByName("mcf")
 	crafty, _ := workload.ByName("crafty")
 	c.Cores[0].SetWorkload(mcf, o.Seed)
-	ctl := control.New(c, control.DefaultConfig())
-	if _, err := ctl.Calibrate(); err != nil {
-		return nil, err
-	}
 
 	converge := o.scale(1200, 200)
 	half := o.scale(5000, 500)

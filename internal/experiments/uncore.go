@@ -7,6 +7,7 @@ import (
 	"eccspec/internal/control"
 	"eccspec/internal/engine"
 	"eccspec/internal/stats"
+	"eccspec/internal/workload"
 )
 
 func init() {
@@ -30,10 +31,9 @@ func runUncoreSpec(o Options) (*Result, error) {
 	measure := o.scale(1800, 250)
 
 	run := func(withUncore bool) (coreV, uncoreV, totalPower float64, err error) {
-		c := newChip(o, true)
-		assignSuite(c, "SPECjbb2005", o.Seed)
-		ctl := control.New(c, control.DefaultConfig())
-		if _, err := ctl.Calibrate(); err != nil {
+		c, ctl, err := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+			Workloads: workload.Suites()["SPECjbb2005"], Calibrate: true})
+		if err != nil {
 			return 0, 0, 0, err
 		}
 		if withUncore {
@@ -41,10 +41,7 @@ func runUncoreSpec(o Options) (*Result, error) {
 				return 0, 0, 0, err
 			}
 		}
-		engine.Ticks(c, ctl, converge, nil)
-		for _, co := range c.Cores {
-			co.ResetAccounting()
-		}
+		settle(c, ctl, converge, nil)
 		e0 := c.TotalEnergy()
 		t0 := c.Time()
 		var sumCore, sumUncore float64
@@ -58,10 +55,8 @@ func runUncoreSpec(o Options) (*Result, error) {
 		if !c.UncoreAlive() {
 			return 0, 0, 0, fmt.Errorf("experiments: uncore died under speculation")
 		}
-		for i, co := range c.Cores {
-			if !co.Alive() {
-				return 0, 0, 0, fmt.Errorf("experiments: core %d died", i)
-			}
+		if _, _, err := coreTotals(c); err != nil {
+			return 0, 0, 0, fmt.Errorf("experiments: %w", err)
 		}
 		coreV = sumCore / float64(measure*len(c.Domains))
 		uncoreV = sumUncore / float64(measure)

@@ -29,8 +29,8 @@ func init() {
 func runValidate(o Options) (*Result, error) {
 	// Statistical side: one core under stress at a fixed voltage.
 	statRate := func(v float64, ticks int) (float64, error) {
-		c := newChip(o, true)
-		parkAll(c, o.Seed)
+		c, _, _ := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+			Workloads: idleCores})
 		co := c.Cores[0]
 		co.SetWorkload(workload.StressTest(), o.Seed)
 		c.DomainOf(0).Rail.SetTarget(v)
@@ -48,8 +48,8 @@ func runValidate(o Options) (*Result, error) {
 	}
 	// Matching effective voltage for the replayer.
 	effectiveOf := func(v float64) float64 {
-		c := newChip(o, true)
-		parkAll(c, o.Seed)
+		c, _, _ := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(o.Seed, true, o.Full),
+			Workloads: idleCores})
 		c.Cores[0].SetWorkload(workload.StressTest(), o.Seed)
 		c.DomainOf(0).Rail.SetTarget(v)
 		rep := c.Step()

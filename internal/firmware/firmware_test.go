@@ -119,7 +119,7 @@ func TestSoftwareSettlesAboveHardware(t *testing.T) {
 	for _, co := range hw.Cores {
 		co.SetWorkload(workload.StressTest(), seed)
 	}
-	ctl := control.New(hw, control.DefaultConfig())
+	ctl := control.New(hw, control.DefaultConfig(), nil)
 	if _, err := ctl.Calibrate(); err != nil {
 		t.Fatal(err)
 	}
