@@ -15,7 +15,7 @@ import (
 func FuzzJournalRecover(f *testing.F) {
 	// Seed the corpus with real journal captures plus classic tails.
 	dir := f.TempDir()
-	st, err := Open(dir, Options{})
+	st, err := Open(dir, Options{NoSync: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func FuzzJournalRecover(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, JournalName), journal, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{})
+		s, err := Open(dir, Options{NoSync: true})
 		if err != nil {
 			// Rejecting the journal outright is acceptable; crashing
 			// or wedging is not.
@@ -71,7 +71,7 @@ func FuzzJournalRecover(f *testing.F) {
 			t.Fatal(err)
 		}
 		// ...and the truncated/repaired journal must replay cleanly.
-		r, err := Open(dir, Options{})
+		r, err := Open(dir, Options{NoSync: true})
 		if err != nil {
 			t.Fatalf("journal written by recovery failed to replay: %v", err)
 		}
