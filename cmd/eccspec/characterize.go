@@ -82,10 +82,8 @@ func sweepCmd(args []string, w io.Writer) error {
 		return err
 	}
 
-	c := chip.New(chip.DefaultParams(*seed, !*high, *full))
-	for _, co := range c.Cores {
-		co.SetWorkload(workload.Idle(), *seed)
-	}
+	c, _, _ := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(*seed, !*high, *full),
+		Workloads: []workload.Profile{workload.Idle()}})
 	nominal := c.P.Point.NominalVdd
 	fmt.Fprintf(w, "chip seed %d, %s point, nominal %.3f V, %d ticks/level\n\n",
 		*seed, c.P.Point.Name, nominal, *ticks)
@@ -132,10 +130,8 @@ func errprofileCmd(args []string, w io.Writer) error {
 		return err
 	}
 
-	c := chip.New(chip.DefaultParams(*seed, true, *full))
-	for _, co := range c.Cores {
-		co.SetWorkload(workload.StressTest(), *seed)
-	}
+	c, _, _ := engine.NewCell(engine.CellSpec{Params: chip.DefaultParams(*seed, true, *full),
+		Workloads: []workload.Profile{workload.StressTest()}})
 	v := c.P.Point.NominalVdd - *offsetMV/1000
 	for _, d := range c.Domains {
 		d.Rail.SetTarget(v)

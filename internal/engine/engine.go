@@ -7,7 +7,9 @@
 // examples. This package writes the loop exactly once and lets the
 // layers differ only in what they *observe*: tracing, checkpointing,
 // Prometheus counters, progress reporting and stop conditions are all
-// composable Observers rather than per-call-site plumbing.
+// composable Observers rather than per-call-site plumbing. The cell the
+// loop drives is built once too: NewCell is the one construction site
+// for a chip with its workloads and control system.
 //
 // The steady-state tick path is allocation-free: Run keeps no per-tick
 // state on the heap, observers receive a View by value, and the

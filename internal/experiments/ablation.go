@@ -68,7 +68,6 @@ func runAblationConfig(o Options, cp chip.Params, cc control.Config) (ablationOu
 	measure := o.scale(1500, 200)
 	engine.Ticks(c, ctl, converge, nil)
 	var out ablationOutcome
-	var targets []float64
 	decisions, holds := 0, 0
 	dom0 := make([]float64, 0, measure)
 	engine.Ticks(c, ctl, measure, func(_ int, _ chip.TickReport, acts []control.Action) bool {
@@ -86,7 +85,6 @@ func runAblationConfig(o Options, cp chip.Params, cc control.Config) (ablationOu
 	nominal := cp.Point.NominalVdd
 	out.minTarget = nominal
 	for _, d := range c.Domains {
-		targets = append(targets, d.Rail.Target())
 		if d.Rail.Target() < out.minTarget {
 			out.minTarget = d.Rail.Target()
 		}
@@ -101,7 +99,6 @@ func runAblationConfig(o Options, cp chip.Params, cc control.Config) (ablationOu
 		out.inBand = float64(holds) / float64(decisions)
 	}
 	out.stepDevMV = 1000 * stats.StdDev(dom0)
-	_ = targets
 	return out, nil
 }
 

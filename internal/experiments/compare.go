@@ -42,6 +42,8 @@ func runCompare(o Options) (*Result, error) {
 	converge := o.scale(1800, 250)
 	measure := o.scale(1800, 250)
 
+	// Every technique starts from the same uncalibrated cell; only the
+	// ECC schemes drive its control system, from adapt.
 	run := func(name string, params chip.Params,
 		adapt func(c *chip.Chip, ctl *control.System) func(chip.TickReport)) (compareOutcome, error) {
 		c, ctl, _ := engine.NewCell(engine.CellSpec{Params: params, Workloads: workload.Suites()["SPECint"]})
