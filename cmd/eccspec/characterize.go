@@ -39,7 +39,6 @@ func calibrateCmd(args []string, w io.Writer) error {
 		if *aged > 0 {
 			co.Hier.L2D.Array().SetAge(*aged)
 			co.Hier.L2I.Array().SetAge(*aged)
-			co.InvalidateSensitivity()
 		}
 	}
 	ctl := control.New(c, control.DefaultConfig(), nil)

@@ -83,7 +83,6 @@ func main() {
 		for _, co := range c.Cores {
 			co.Hier.L2D.Array().SetAge(age)
 			co.Hier.L2I.Array().SetAge(age)
-			co.InvalidateSensitivity()
 		}
 		a, err := ctl.CalibrateDomain(c.Domains[0])
 		if err != nil {

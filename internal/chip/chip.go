@@ -29,7 +29,6 @@ package chip
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"eccspec/internal/cache"
 	"eccspec/internal/kernel"
@@ -170,12 +169,6 @@ func DefaultParamsAt(seed uint64, freqHz float64, full bool) Params {
 	return p
 }
 
-// SensLine is one voltage-sensitive cache line on a core.
-type SensLine struct {
-	Set, Way int
-	Profile  *sram.Profile
-}
-
 // Core is one processor core.
 type Core struct {
 	ID   int
@@ -195,8 +188,9 @@ type Core struct {
 	lastEff   float64
 	lastAct   float64
 
-	sens map[variation.Kind][]SensLine
-	kern map[variation.Kind]*kernel.Table
+	// tabs holds the kernel tables of the structures Step samples,
+	// indexed like tableKinds; see table.
+	tabs [len(tableKinds)]*kernel.Table
 	// sampled holds the L2D and L2I tables the last Step sampled (nil
 	// where it sampled none), which TrueCorrected replays.
 	sampled [2]*kernel.Table
@@ -298,8 +292,6 @@ func New(p Params) *Chip {
 			logicVmin: m.LogicVmin(i),
 			tempC:     p.AmbientC,
 			lastEff:   p.Point.NominalVdd,
-			sens:      make(map[variation.Kind][]SensLine),
-			kern:      make(map[variation.Kind]*kernel.Table),
 		}
 		core.RegFile.SetTemperature(p.AmbientC)
 		core.Hier.L2D.Array().SetTemperature(p.AmbientC)
@@ -404,55 +396,34 @@ func (co *Core) SetOverheadFraction(f float64) {
 	co.overhead = f
 }
 
-// SensitiveLines returns the core's voltage-sensitive lines in the given
-// structure: every line whose weakest cell sits above the chip's
-// relevance floor (anything weaker can never produce an error above the
-// crash region). The first call scans the whole array and caches.
-func (co *Core) SensitiveLines(kind variation.Kind, floor float64) []SensLine {
-	if ls, ok := co.sens[kind]; ok {
-		return ls
-	}
-	arr := co.arrayOf(kind)
-	var out []SensLine
-	for s := 0; s < arr.Sets; s++ {
-		for w := 0; w < arr.Ways; w++ {
-			p := arr.LineProfile(s, w)
-			if p.Vmax() >= floor {
-				out = append(out, SensLine{Set: s, Way: w, Profile: p})
-			}
-		}
-	}
-	// Sorted by descending onset voltage so per-tick sampling can stop
-	// at the first line too strong to matter at the current voltage.
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Profile.Vmax() > out[j].Profile.Vmax()
-	})
-	co.sens[kind] = out
-	return out
+// Indices of a core's kernel tables, one per structure Step samples.
+const (
+	l2dTable = iota
+	l2iTable
+	regFileTable
+)
+
+// tableKinds maps a kernel table index to its structure.
+var tableKinds = [...]variation.Kind{
+	l2dTable:     variation.KindL2D,
+	l2iTable:     variation.KindL2I,
+	regFileTable: variation.KindRegFile,
 }
 
-// InvalidateSensitivity drops cached sensitive-line lists and their
-// batch-kernel tables (call after aging changes).
-func (co *Core) InvalidateSensitivity() {
-	co.sens = make(map[variation.Kind][]SensLine)
-	co.kern = make(map[variation.Kind]*kernel.Table)
-}
-
-// kernelTable returns the core's batch-kernel table for the structure,
-// building it from the sensitive-line list on first use. Cached beside
-// the sensitive-line cache and invalidated with it.
-func (co *Core) kernelTable(kind variation.Kind, floor float64) *kernel.Table {
-	if t, ok := co.kern[kind]; ok {
+// table returns the core's kernel table for tableKinds[i], building it
+// on first use and rebuilding it once the array has been re-aged, so
+// that sram.Array.SetAge is all aging takes.
+func (co *Core) table(i int, floor float64) *kernel.Table {
+	if t := co.tabs[i]; t != nil && !t.Stale() {
 		return t
 	}
-	sens := co.SensitiveLines(kind, floor)
-	lines := make([]kernel.Line, len(sens))
-	for i, sl := range sens {
-		lines[i] = kernel.Line{Set: sl.Set, Way: sl.Way, Profile: sl.Profile}
+	kind := tableKinds[i]
+	arr := co.RegFile
+	if kind != variation.KindRegFile {
+		arr = co.CacheOf(kind).Array()
 	}
-	t := kernel.Build(co.arrayOf(kind), kind, lines)
-	co.kern[kind] = t
-	return t
+	co.tabs[i] = kernel.Build(arr, kind, floor)
+	return co.tabs[i]
 }
 
 // Characterize builds, for every core, the weak-cell profiles, batch-
@@ -460,35 +431,17 @@ func (co *Core) kernelTable(kind variation.Kind, floor float64) *kernel.Table {
 // (L2D, L2I and the register file), which a first Step would otherwise
 // build. Call it once workloads are assigned, so a specimen's whole
 // characterization is charged to its build; the L1s and the L3, which
-// only experiments read, stay lazy. Cached work is not redone.
+// only experiments read, stay lazy. A table current with its array's
+// age is not rebuilt.
 func (c *Chip) Characterize() {
 	floor := c.SensitivityFloor()
 	for _, co := range c.Cores {
-		for _, kind := range [...]variation.Kind{variation.KindL2D, variation.KindL2I} {
-			t := co.kernelTable(kind, floor)
-			if co.wl != nil {
+		for i := range tableKinds {
+			t := co.table(i, floor)
+			if co.wl != nil && i != regFileTable {
 				t.EnsureFootprint(co.wl)
 			}
 		}
-		co.kernelTable(variation.KindRegFile, floor)
-	}
-}
-
-// arrayOf maps a structure kind to the core's SRAM array.
-func (co *Core) arrayOf(kind variation.Kind) *sram.Array {
-	switch kind {
-	case variation.KindL2D:
-		return co.Hier.L2D.Array()
-	case variation.KindL2I:
-		return co.Hier.L2I.Array()
-	case variation.KindL1D:
-		return co.Hier.L1D.Array()
-	case variation.KindL1I:
-		return co.Hier.L1I.Array()
-	case variation.KindRegFile:
-		return co.RegFile
-	default:
-		panic("chip: no array for kind " + kind.String())
 	}
 }
 
@@ -590,8 +543,8 @@ func (c *Chip) Step() TickReport {
 		}
 
 		if co.wl != nil {
-			cd, tD, fatalD := c.sampleWorkloadErrors(co, variation.KindL2D, d.L2DAccesses, veff)
-			ci, tI, fatalI := c.sampleWorkloadErrors(co, variation.KindL2I, d.L2IAccesses, veff)
+			cd, tD, fatalD := c.sampleWorkloadErrors(co, l2dTable, d.L2DAccesses, veff)
+			ci, tI, fatalI := c.sampleWorkloadErrors(co, l2iTable, d.L2IAccesses, veff)
 			co.sampled = [2]*kernel.Table{tD, tI}
 			rfAccesses := c.P.RegFileAccessRate * dt
 			crf, fatalRF := c.sampleRegFileErrors(co, rfAccesses, veff)
@@ -673,11 +626,12 @@ func (c *Chip) TrueCorrected(id int) float64 {
 // each sensitive, exercised line contributes Poisson-distributed
 // correctable events (rare per access) and a fatal flag if a double-bit
 // read occurs. It returns the table it sampled, nil if it sampled none.
-func (c *Chip) sampleWorkloadErrors(co *Core, kind variation.Kind, accesses float64, v float64) (corrected int, sampled *kernel.Table, fatal bool) {
+func (c *Chip) sampleWorkloadErrors(co *Core, table int, accesses float64, v float64) (corrected int, sampled *kernel.Table, fatal bool) {
 	if accesses <= 0 {
 		return 0, nil, false
 	}
-	arr := co.arrayOf(kind)
+	kind := tableKinds[table]
+	arr := co.CacheOf(kind).Array()
 	cov := co.wl.P.L2DCoverage
 	if kind == variation.KindL2I {
 		cov = co.wl.P.L2ICoverage
@@ -687,7 +641,7 @@ func (c *Chip) sampleWorkloadErrors(co *Core, kind variation.Kind, accesses floa
 		return 0, nil, false
 	}
 	perLine := accesses / footprint
-	t := co.kernelTable(kind, c.SensitivityFloor())
+	t := co.table(table, c.SensitivityFloor())
 	t.EnsureFootprint(co.wl)
 	// Lines whose weakest cell sits more than ~8 ramp widths above the
 	// current voltage cannot flip; the table is sorted by onset voltage,
@@ -711,7 +665,7 @@ func (c *Chip) sampleRegFileErrors(co *Core, perLine float64, v float64) (correc
 	if perLine <= 0 {
 		return 0, false
 	}
-	t := co.kernelTable(variation.KindRegFile, c.SensitivityFloor())
+	t := co.table(regFileTable, c.SensitivityFloor())
 	n, fat, counts := t.SampleAll(c.stream, v, math.Inf(-1), perLine, perLine*c.P.FatalRateFactor)
 	for _, lc := range counts {
 		c.MCA.Report(mca.Event{Time: c.time, Core: co.ID,

@@ -1,9 +1,13 @@
 package chip
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
+	"eccspec/internal/kernel"
+	"eccspec/internal/sram"
 	"eccspec/internal/variation"
 	"eccspec/internal/workload"
 )
@@ -191,37 +195,88 @@ func TestCorrectableErrorsAppearBeforeCrash(t *testing.T) {
 	}
 }
 
-func TestSensitiveLinesContainWeakest(t *testing.T) {
+// TestL2DTableContainsWeakest checks the core's L2D kernel table
+// against its array's profiles: it indexes every line at or above the
+// chip's sensitivity floor and nothing else, the weakest line among
+// them. The table is built once and rebuilt only after SetAge.
+func TestL2DTableContainsWeakest(t *testing.T) {
 	c := testChip(8)
 	co := c.Cores[0]
 	floor := c.SensitivityFloor()
-	lines := co.SensitiveLines(variation.KindL2D, floor)
-	if len(lines) == 0 {
-		t.Fatal("no sensitive L2D lines found")
+	c.Characterize()
+	tab := co.tabs[l2dTable]
+	if tab == nil || tab.Lines() == 0 {
+		t.Fatal("no sensitive L2D lines indexed")
 	}
-	set, way, p := co.Hier.L2D.Array().WeakestLine()
-	found := false
-	for _, sl := range lines {
-		if sl.Set == set && sl.Way == way {
-			found = true
-		}
-		if sl.Profile.Vmax() < floor {
-			t.Fatalf("line (%d,%d) below floor in sensitive list", sl.Set, sl.Way)
+	arr := co.Hier.L2D.Array()
+	above := 0
+	for key := 0; key < arr.Lines(); key++ {
+		if arr.LineProfile(key/arr.Ways, key%arr.Ways).Vmax() >= floor {
+			above++
 		}
 	}
-	if !found {
-		t.Fatalf("weakest line (%d,%d, Vmax %v) missing from sensitive list",
-			set, way, p.Vmax())
+	if tab.Lines() != above {
+		t.Fatalf("L2D table indexes %d lines, %d sit at or above the floor", tab.Lines(), above)
 	}
-	// Cached: second call returns identical slice.
-	again := co.SensitiveLines(variation.KindL2D, floor)
-	if &again[0] != &lines[0] {
-		t.Fatal("sensitive lines not cached")
+	set, way, p := arr.WeakestLine()
+	if p.Vmax() < floor {
+		t.Fatalf("weakest line (%d,%d, Vmax %v) below the floor %v", set, way, p.Vmax(), floor)
 	}
-	co.InvalidateSensitivity()
-	fresh := co.SensitiveLines(variation.KindL2D, floor)
-	if len(fresh) != len(lines) {
-		t.Fatal("re-scan after invalidation differs")
+	if co.table(l2dTable, floor) != tab {
+		t.Fatal("L2D table rebuilt without a change of age")
+	}
+	arr.SetAge(100)
+	aged := co.table(l2dTable, floor)
+	if aged == tab {
+		t.Fatal("L2D table not rebuilt after SetAge")
+	}
+	if co.table(l2dTable, floor) != aged {
+		t.Fatal("aged L2D table rebuilt twice")
+	}
+}
+
+// TestSetAgeIsTheWholeAgingProtocol ages a characterized core's L2D
+// with SetAge alone and steps the chip near the aged weakest line's
+// onset: its state must be byte-identical to that of a twin aged
+// before its first Characterize.
+func TestSetAgeIsTheWholeAgingProtocol(t *testing.T) {
+	const hours = 40000
+	build := func(ageFirst bool) *Chip {
+		c := New(DefaultParams(77, true, false))
+		for _, co := range c.Cores {
+			co.SetWorkload(workload.StressTest(), 77)
+		}
+		arr := c.Cores[0].Hier.L2D.Array()
+		if ageFirst {
+			arr.SetAge(hours)
+		}
+		c.Characterize()
+		if !ageFirst {
+			arr.SetAge(hours)
+		}
+		_, _, p := arr.WeakestLine()
+		c.DomainOf(0).Rail.SetTarget(p.Vmax() + 0.005)
+		return c
+	}
+	late, twin := build(false), build(true)
+	errs := 0
+	for tick := 0; tick < 300; tick++ {
+		errs += late.Step().Cores[0].CorrectedD
+		twin.Step()
+	}
+	if errs == 0 {
+		t.Fatal("no L2D errors at the aged onset: the check is vacuous")
+	}
+	a, err := json.Marshal(late.CaptureState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(twin.CaptureState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("chip aged after Characterize diverged from its twin aged before it")
 	}
 }
 
@@ -273,17 +328,20 @@ func TestHighVoltagePointRegFileVulnerable(t *testing.T) {
 	lo := New(DefaultParams(12, true, false))
 	floorHi := hi.SensitivityFloor()
 	floorLo := lo.SensitivityFloor()
-	if n := len(hi.Cores[0].SensitiveLines(variation.KindRegFile, floorHi)); n == 0 {
+	sensitive := func(arr *sram.Array, kind variation.Kind, floor float64) int {
+		return kernel.Build(arr, kind, floor).Lines()
+	}
+	if n := sensitive(hi.Cores[0].RegFile, variation.KindRegFile, floorHi); n == 0 {
 		t.Error("high point: register file has no sensitive lines")
 	}
-	if n := len(lo.Cores[0].SensitiveLines(variation.KindRegFile, floorLo)); n != 0 {
+	if n := sensitive(lo.Cores[0].RegFile, variation.KindRegFile, floorLo); n != 0 {
 		t.Errorf("low point: register file has %d sensitive lines, want 0", n)
 	}
-	if n := len(lo.Cores[0].SensitiveLines(variation.KindL2D, floorLo)); n == 0 {
+	if n := sensitive(lo.Cores[0].Hier.L2D.Array(), variation.KindL2D, floorLo); n == 0 {
 		t.Error("low point: L2D has no sensitive lines")
 	}
 	// L1s stay robust at both points.
-	if n := len(lo.Cores[0].SensitiveLines(variation.KindL1D, floorLo)); n != 0 {
+	if n := sensitive(lo.Cores[0].Hier.L1D.Array(), variation.KindL1D, floorLo); n != 0 {
 		t.Errorf("low point: L1D has %d sensitive lines, want 0", n)
 	}
 }
@@ -309,7 +367,7 @@ func BenchmarkStepStress(b *testing.B) {
 	for _, co := range c.Cores {
 		co.SetWorkload(workload.StressTest(), 42)
 	}
-	// Warm sensitive-line caches.
+	// Warm the kernel tables.
 	c.Step()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

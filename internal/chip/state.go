@@ -3,9 +3,9 @@ package chip
 // Checkpoint support: State captures every mutable quantity the tick
 // loop consumes or accumulates, so a chip restored onto a freshly
 // constructed specimen of the same seed continues bit-exactly. Derived
-// quantities (weak-cell maps, rail resonances, logic floors, sensitive-
-// line caches) are pure functions of the seed and are reconstructed by
-// New, not serialized.
+// quantities (weak-cell maps, rail resonances, logic floors, kernel
+// tables) are pure functions of the seed and age and are reconstructed
+// by New and RestoreState, not serialized.
 //
 // Cache line *contents* are deliberately not part of the state: reads
 // are the only faulting operation, every consumer of line data writes
@@ -136,10 +136,11 @@ func (c *Chip) CaptureState() State {
 	return st
 }
 
-// RestoreState overwrites the chip's mutable state with a captured one.
-// The chip must have been constructed with the same Params (same seed,
-// geometry, and operating point) that produced the state; a geometry
-// mismatch is reported as an error.
+// RestoreState overwrites the chip's mutable state with a captured one
+// and leaves the specimen characterized (see Characterize). The chip
+// must have been constructed with the same Params (same seed, geometry,
+// and operating point) that produced the state; a geometry mismatch is
+// reported as an error.
 func (c *Chip) RestoreState(st State) error {
 	if len(st.Cores) != len(c.Cores) {
 		return fmt.Errorf("chip: state has %d cores, chip has %d", len(st.Cores), len(c.Cores))
@@ -179,21 +180,19 @@ func (c *Chip) RestoreState(st State) error {
 			}
 			co.wl.RestoreState(cs.WorkloadElapsed, cs.WorkloadNoise)
 		}
-		aged := restoreArray(co.Hier.L2D.Array(), cs.L2D)
-		aged = restoreArray(co.Hier.L2I.Array(), cs.L2I) || aged
-		aged = restoreArray(co.Hier.L1D.Array(), cs.L1D) || aged
-		aged = restoreArray(co.Hier.L1I.Array(), cs.L1I) || aged
-		aged = restoreArray(co.RegFile, cs.RegFile) || aged
-		// Re-aged profiles invalidate the cached sensitive-line lists;
-		// at an unchanged age they, and the tables built on them, hold.
-		if aged {
-			co.InvalidateSensitivity()
-		}
+		restoreArray(co.Hier.L2D.Array(), cs.L2D)
+		restoreArray(co.Hier.L2I.Array(), cs.L2I)
+		restoreArray(co.Hier.L1D.Array(), cs.L1D)
+		restoreArray(co.Hier.L1I.Array(), cs.L1I)
+		restoreArray(co.RegFile, cs.RegFile)
 	}
 	for i, d := range c.Domains {
 		d.Rail.SetTarget(st.Domains[i].Rail.TargetV)
 		d.lastEff = st.Domains[i].LastEff
 	}
+	// A restored age re-profiles its arrays; do it here rather than on
+	// the first restored Step.
+	c.Characterize()
 	return nil
 }
 
@@ -201,12 +200,9 @@ func captureArray(a *sram.Array) ArrayState {
 	return ArrayState{Stream: a.StreamState(), AgeHours: a.Age(), TempC: a.Temperature()}
 }
 
-// restoreArray overlays an array's state and reports whether its age
-// changed.
-func restoreArray(a *sram.Array, st ArrayState) (aged bool) {
-	aged = a.Age() != st.AgeHours
+// restoreArray overlays an array's state.
+func restoreArray(a *sram.Array, st ArrayState) {
 	a.SetAge(st.AgeHours)
 	a.SetTemperature(st.TempC)
 	a.SetStreamState(st.Stream)
-	return aged
 }

@@ -112,7 +112,6 @@ func runAging(o Options) (*Result, error) {
 		co := c.Cores[id]
 		co.Hier.L2D.Array().SetAge(hours)
 		co.Hier.L2I.Array().SetAge(hours)
-		co.InvalidateSensitivity()
 	}
 	after, err := ctl.CalibrateDomain(c.Domains[0])
 	if err != nil {

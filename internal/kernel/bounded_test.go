@@ -56,8 +56,8 @@ var edgeX = []float64{
 // randomLines builds n synthetic lines whose cells sit at random and
 // edge offsets from vEff. Words are drawn from a few per line, so many
 // words hold two cells; some cells have a non-positive width.
-func randomLines(r *rand.Rand, n int, vEff float64) []Line {
-	lines := make([]Line, n)
+func randomLines(r *rand.Rand, n int, vEff float64) []line {
+	lines := make([]line, n)
 	for i := range lines {
 		nb := 1 + r.Intn(6)
 		nWords := 1 + r.Intn(sram.WordsPerLine)
@@ -90,9 +90,10 @@ func randomLines(r *rand.Rand, n int, vEff float64) []Line {
 			}
 		}
 		sort.SliceStable(bits, func(a, b int) bool { return bits[a].Vcrit > bits[b].Vcrit })
-		lines[i] = Line{Set: i / 8, Way: i % 8, Profile: &sram.Profile{Bits: bits}}
+		p := &sram.Profile{Bits: bits}
+		lines[i] = line{set: int32(i / 8), way: int32(i % 8), vmax: p.Vmax(), vsafe: p.CleanAbove(), prof: p}
 	}
-	sort.SliceStable(lines, func(a, b int) bool { return lines[a].Profile.Vmax() > lines[b].Profile.Vmax() })
+	sort.SliceStable(lines, func(a, b int) bool { return lines[a].vmax > lines[b].vmax })
 	return lines
 }
 
@@ -110,7 +111,7 @@ func TestBoundedSampleMatchesExact(t *testing.T) {
 		arr.SetTemperature(tempC)
 		v := 0.55 + 0.2*r.Float64()
 		vEff := v - m.TempShift(tempC)
-		table := Build(arr, variation.KindL2D, randomLines(r, 64, vEff))
+		table := flatten(arr, variation.KindL2D, randomLines(r, 64, vEff))
 		cutoff := math.Inf(-1)
 		if trial%4 == 0 {
 			cutoff = vEff - 0.01

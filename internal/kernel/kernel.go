@@ -26,6 +26,7 @@ package kernel
 
 import (
 	"math"
+	"sort"
 
 	"eccspec/internal/rng"
 	"eccspec/internal/sram"
@@ -33,13 +34,6 @@ import (
 	"eccspec/internal/variation"
 	"eccspec/internal/workload"
 )
-
-// Line is one sensitive line handed to Build, in the same descending-
-// onset-voltage order the chip's sensitive-line lists use.
-type Line struct {
-	Set, Way int
-	Profile  *sram.Profile
-}
 
 // LineCount reports one line's sampled corrected-event count. The
 // slice returned by Sample is scratch owned by the Table and is
@@ -50,17 +44,18 @@ type LineCount struct {
 }
 
 // Table is the struct-of-arrays view of one array's sensitive lines.
-// It is built once per (array, age epoch).
+// It is built once per (array, age epoch); Stale reports when the
+// array has been re-aged since.
 type Table struct {
 	arr  *sram.Array
 	kind variation.Kind
+	age  float64 // arr.Age() at Build
 
-	// Per-line columns, ordered by descending onset voltage (the
-	// chip's sensitive-line order).
+	// Per-line columns, ordered by descending onset voltage.
 	set   []int32
 	way   []int32
 	vmax  []float64 // Profile.Vmax per line
-	vsafe []float64 // Profile.CleanAbove per line
+	vsafe []float64 // the array's CleanColumn entry per line
 	start []int32   // bit-column range per line; len(start) == lines+1
 	// prof holds each line's profile, whose cells (descending Vcrit)
 	// the exact probability math reads. Only the few live lines of a
@@ -97,12 +92,43 @@ type Table struct {
 	}
 }
 
-// Build flattens the given sensitive lines (descending onset voltage)
-// into a Table over the array. Every column is sized exactly up front.
-func Build(arr *sram.Array, kind variation.Kind, lines []Line) *Table {
+// line is one sensitive line on its way into a Table's columns.
+type line struct {
+	set, way    int32
+	vmax, vsafe float64
+	prof        *sram.Profile
+}
+
+// Build indexes the array's sensitive lines: every line whose onset
+// voltage (Profile.Vmax) is at or above floor, ordered by descending
+// onset voltage so that sampling can stop at the first line too strong
+// to matter. It profiles every line of the array at its current age,
+// and each line's "certainly clean" threshold is its CleanColumn entry.
+func Build(arr *sram.Array, kind variation.Kind, floor float64) *Table {
+	var lines []line
+	for key, vsafe := range arr.CleanColumn() {
+		set, way := key/arr.Ways, key%arr.Ways
+		p := arr.LineProfile(set, way)
+		if vmax := p.Vmax(); vmax >= floor {
+			lines = append(lines, line{int32(set), int32(way), vmax, vsafe, p})
+		}
+	}
+	// sort.Slice is not stable, so the order it leaves among equal
+	// onsets, and with it the order of the stream draws, depends on the
+	// set-major candidate sequence and on this comparator. The goldens
+	// pin that order: change neither.
+	sort.Slice(lines, func(i, j int) bool { return lines[i].vmax > lines[j].vmax })
+	t := flatten(arr, kind, lines)
+	t.age = arr.Age()
+	return t
+}
+
+// flatten lays out lines, already in table order, as a Table's columns.
+// Every column is sized exactly up front.
+func flatten(arr *sram.Array, kind variation.Kind, lines []line) *Table {
 	bits, maxBits := 0, 0
 	for _, ln := range lines {
-		n := len(ln.Profile.Bits)
+		n := len(ln.prof.Bits)
 		bits += n
 		if n > maxBits {
 			maxBits = n
@@ -124,14 +150,14 @@ func Build(arr *sram.Array, kind variation.Kind, lines []Line) *Table {
 	}
 	j := 0
 	for i, ln := range lines {
-		t.set[i] = int32(ln.Set)
-		t.way[i] = int32(ln.Way)
-		t.vmax[i] = ln.Profile.Vmax()
-		t.vsafe[i] = ln.Profile.CleanAbove()
-		t.prof[i] = ln.Profile
+		t.set[i] = ln.set
+		t.way[i] = ln.way
+		t.vmax[i] = ln.vmax
+		t.vsafe[i] = ln.vsafe
+		t.prof[i] = ln.prof
 		t.allIdx[i] = int32(i)
 		lo := j
-		for k, b := range ln.Profile.Bits {
+		for k, b := range ln.prof.Bits {
 			t.safeOrd[j] = uint16(k)
 			t.safeV[j] = b.CleanAbove()
 			j++
@@ -159,6 +185,11 @@ func sortSafeDesc(ord []uint16, safe []float64) {
 
 // Lines returns the number of sensitive lines in the table.
 func (t *Table) Lines() int { return len(t.vmax) }
+
+// Stale reports whether the table's array has been re-aged (sram.Array.
+// SetAge) since Build: its profiles, and so the table, are then out of
+// date.
+func (t *Table) Stale() bool { return t.arr.Age() != t.age }
 
 // EnsureFootprint (re)builds the cached workload-exercise mask. The
 // mask is pure in (workload seed, kind, set, way), so it is keyed by

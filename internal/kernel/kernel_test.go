@@ -23,28 +23,40 @@ const (
 	testWays = 8
 )
 
-// buildLines collects every line of a fresh array in the chip's
-// sensitive-line order (descending onset voltage) and returns the array
-// with its flattened table.
-func buildLines(seed uint64) (*sram.Array, []kernel.Line) {
+// refLine is one line as the scalar reference walks it.
+type refLine struct {
+	Set, Way int
+	Profile  *sram.Profile
+}
+
+// buildLines builds a fresh array's table over all of its lines and
+// returns the array with the lines in the table's order: set-major
+// candidates sorted by descending onset voltage with Build's
+// comparator, which is how sort.Slice reproduces Build's order among
+// equal onsets.
+func buildLines(t *testing.T, seed uint64) (*sram.Array, *kernel.Table, []refLine) {
 	m := variation.New(seed, variation.LowVoltage())
 	a := sram.NewArray(m, 0, variation.KindL2D, testSets, testWays)
-	lines := make([]kernel.Line, 0, testSets*testWays)
+	table := kernel.Build(a, variation.KindL2D, math.Inf(-1))
+	lines := make([]refLine, 0, testSets*testWays)
 	for set := 0; set < testSets; set++ {
 		for way := 0; way < testWays; way++ {
-			lines = append(lines, kernel.Line{Set: set, Way: way, Profile: a.LineProfile(set, way)})
+			lines = append(lines, refLine{Set: set, Way: way, Profile: a.LineProfile(set, way)})
 		}
 	}
-	sort.SliceStable(lines, func(i, j int) bool {
+	sort.Slice(lines, func(i, j int) bool {
 		return lines[i].Profile.Vmax() > lines[j].Profile.Vmax()
 	})
-	return a, lines
+	if table.Lines() != len(lines) {
+		t.Fatalf("seed %d: table indexes %d lines, want all %d", seed, table.Lines(), len(lines))
+	}
+	return a, table, lines
 }
 
 // scalarSample is the pre-kernel reference loop: per line in table
 // order, exact probabilities from the sram model and one Poisson draw
 // per nonzero probability.
-func scalarSample(a *sram.Array, lines []kernel.Line, stream *rng.Stream, v, cutoff, perLine, fatalPerLine float64) (corrected int, trueMean float64, fatal bool, counts []kernel.LineCount) {
+func scalarSample(a *sram.Array, lines []refLine, stream *rng.Stream, v, cutoff, perLine, fatalPerLine float64) (corrected int, trueMean float64, fatal bool, counts []kernel.LineCount) {
 	for _, ln := range lines {
 		if ln.Profile.Vmax() < cutoff {
 			break
@@ -67,8 +79,7 @@ func scalarSample(a *sram.Array, lines []kernel.Line, stream *rng.Stream, v, cut
 
 func TestSampleMatchesScalarReference(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
-		a, lines := buildLines(seed)
-		table := kernel.Build(a, variation.KindL2D, lines)
+		a, table, lines := buildLines(t, seed)
 		vmax := lines[0].Profile.Vmax()
 		const perLine, fatalPerLine = 750.0, 7.5
 		draw := uint64(0)

@@ -42,8 +42,6 @@ func TestFirstTicksBuildNoSpecimen(t *testing.T) {
 
 	co := sim.Chip().Cores[3]
 	co.Hier.L2D.Array().SetAge(5000)
-	co.InvalidateSensitivity()
-	sim.Chip().Characterize()
 	stepN(sim, 5)
 	blob, err := CaptureBlob(sim)
 	if err != nil {

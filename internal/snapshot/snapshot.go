@@ -211,9 +211,6 @@ func Restore(st *State) (*eccspec.Simulator, error) {
 	if err := sim.Chip().RestoreState(st.Chip); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	// A captured age rebuilds the profiles NewSimulator characterized;
-	// redo it here rather than on the first restored Step.
-	sim.Chip().Characterize()
 	if err := sim.Control().RestoreState(st.Control); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
