@@ -118,17 +118,24 @@ func (p *Profile) CleanAbove() float64 {
 // codeword, producing an uncorrectable error. Returns 0 if no word has
 // two profiled cells.
 func (p *Profile) PairVcrit() float64 {
-	second := make(map[int][]float64, WordsPerLine)
+	var first, second [WordsPerLine]float64
+	var n [WordsPerLine]int
 	for _, b := range p.Bits {
-		second[b.Word()] = append(second[b.Word()], b.Vcrit)
+		w, v := b.Word(), b.Vcrit
+		switch {
+		case n[w] == 0:
+			first[w] = v
+		case v > first[w]:
+			first[w], second[w] = v, first[w]
+		case n[w] == 1 || v > second[w]:
+			second[w] = v
+		}
+		n[w]++
 	}
 	best := 0.0
-	for _, vs := range second {
-		if len(vs) >= 2 {
-			sort.Sort(sort.Reverse(sort.Float64Slice(vs)))
-			if vs[1] > best {
-				best = vs[1]
-			}
+	for w, v := range second {
+		if n[w] >= 2 && v > best {
+			best = v
 		}
 	}
 	return best
@@ -550,15 +557,6 @@ func (a *Array) SampleFlips(set, way int, v float64) []int {
 		for _, b := range p.Bits {
 			pf := variation.FlipProbability(b.Vcrit, b.Width, vEff)
 			if pf <= 0 {
-				// Profile is sorted by descending Vcrit: once a cell
-				// is certainly safe, every later cell is safer still
-				// only if widths were equal; widths differ, so keep
-				// scanning while the deficit could matter. A cheap
-				// cutoff: cells more than 10 standard widths above v
-				// cannot flip.
-				if b.Vcrit < vEff-10*a.Model.P.WidthMax {
-					break
-				}
 				continue
 			}
 			m.pfs = append(m.pfs, pf)

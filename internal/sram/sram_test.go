@@ -102,6 +102,21 @@ func TestPairVcritBelowVmax(t *testing.T) {
 	if (&Profile{}).PairVcrit() != 0 {
 		t.Fatal("empty profile PairVcrit should be 0")
 	}
+	// Word 0 has one cell; word 1's second-weakest of three, offered
+	// out of order, beats word 2's tied pair.
+	mixed := &Profile{Bits: []WeakBit{
+		{Pos: 0, Vcrit: 0.9}, {Pos: 74, Vcrit: 0.7}, {Pos: 73, Vcrit: 0.85},
+		{Pos: 144, Vcrit: 0.6}, {Pos: 72, Vcrit: 0.8}, {Pos: 145, Vcrit: 0.6},
+	}}
+	if pv := mixed.PairVcrit(); pv != 0.8 {
+		t.Fatalf("PairVcrit %v, want word 1's second-weakest 0.8", pv)
+	}
+	if pv := (&Profile{Bits: []WeakBit{{Pos: 0, Vcrit: 0.9}}}).PairVcrit(); pv != 0 {
+		t.Fatalf("PairVcrit %v of a one-cell profile, want 0", pv)
+	}
+	if pv := (&Profile{Bits: []WeakBit{{Pos: 144, Vcrit: 0.6}, {Pos: 145, Vcrit: 0.6}}}).PairVcrit(); pv != 0.6 {
+		t.Fatalf("PairVcrit %v of a tied pair, want 0.6", pv)
+	}
 }
 
 func TestSampleFlipsCleanAtHighVoltage(t *testing.T) {
