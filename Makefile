@@ -81,11 +81,13 @@ chaos:
 
 # Short fuzz passes over the corruption-facing decoders and the
 # daemon's submit endpoint; the seeded corpora alone already cover the
-# real capture formats.
+# real capture formats. Minimizing a new input may take 60 s by
+# default, so one find could spend the whole window; cap it.
+FUZZ_SMOKE = -fuzztime=10s -fuzzminimizetime=2s -run '^$$'
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzSnapshotRestore -fuzztime=10s -run '^$$' ./internal/snapshot
-	$(GO) test -fuzz=FuzzJournalRecover -fuzztime=10s -run '^$$' ./internal/store
-	$(GO) test -fuzz=FuzzSubmitFleet -fuzztime=10s -run '^$$' ./cmd/eccspecd
+	$(GO) test -fuzz=FuzzSnapshotRestore $(FUZZ_SMOKE) ./internal/snapshot
+	$(GO) test -fuzz=FuzzJournalRecover $(FUZZ_SMOKE) ./internal/store
+	$(GO) test -fuzz=FuzzSubmitFleet $(FUZZ_SMOKE) ./cmd/eccspecd
 
 # eccbench is a module of its own, so the root `go vet ./...` does not
 # reach it.
